@@ -23,6 +23,8 @@ from ..dnslib import (
     Keyring,
     Message,
     Name,
+    Opcode,
+    Rcode,
     RRType,
     TsigError,
     Verifier,
@@ -224,9 +226,19 @@ class NotificationModule:
                 self._record_failure(cache, name, rrtype, seq, "tsig")
                 return
         try:
-            Message.from_wire(payload)
+            ack = Message.from_wire(payload)
+            # The socket matched the reply by source and message ID
+            # only; it acknowledges the update only if it says so.
+            acknowledged = (ack.is_response
+                            and ack.opcode is Opcode.CACHE_UPDATE
+                            and ack.rcode is Rcode.NOERROR)
         except (WireFormatError, ValueError):
             self._record_failure(cache, name, rrtype, seq, "malformed")
+            return
+        if not acknowledged:
+            # NOTIMP, REFUSED, FORMERR, a plain QUERY response: a cache
+            # that does not speak DNScup did not apply the update.
+            self._record_failure(cache, name, rrtype, seq, "rejected")
             return
         now = self.simulator.now
         rtt = now - sent_at

@@ -23,7 +23,9 @@ import itertools
 import struct
 from typing import List, Optional, Tuple
 
-from .enums import MAX_UDP_PAYLOAD, Opcode, Rcode, RRClass, RRType
+from .enums import (MAX_UDP_PAYLOAD, OPCODE_BY_VALUE, RCODE_BY_VALUE,
+                    RRCLASS_BY_VALUE, RRTYPE_BY_VALUE, Opcode, Rcode, RRClass,
+                    RRType)
 from .name import Name, as_name
 from .records import ResourceRecord
 from .wire import WireFormatError, WireReader, WireWriter
@@ -47,7 +49,15 @@ MAX_U16 = 0xFFFF
 
 _id_counter = itertools.count(1)
 
-_ROOT_NAME = Name.root()
+#: Fixed layouts, each read or written in one call: the 12-octet header
+#: (RFC 1035 §4.1.1), a question's TYPE/CLASS with and without DNScup's
+#: RRC, and the whole EDNS0 OPT pseudo-record DNScup sends (root owner,
+#: TYPE 41, CLASS = payload size, zero TTL field, empty RDATA).
+_HEADER = struct.Struct("!6H")
+_QUESTION_TAIL = struct.Struct("!HH")
+_QUESTION_TAIL_RRC = struct.Struct("!HHH")
+_OPT_TAIL = struct.Struct("!HIH")
+_PACK_OPT = struct.Struct("!BHHIH").pack
 
 
 def next_message_id() -> int:
@@ -62,9 +72,10 @@ class Question:
 
     def __init__(self, name, rrtype: RRType, rrclass: RRClass = RRClass.IN,
                  rrc: Optional[int] = None):
-        self.name: Name = as_name(name)
-        self.rrtype = RRType(rrtype)
-        self.rrclass = RRClass(rrclass)
+        self.name: Name = name if type(name) is Name else as_name(name)
+        self.rrtype = rrtype if type(rrtype) is RRType else RRType(rrtype)
+        self.rrclass = (rrclass if type(rrclass) is RRClass
+                        else RRClass(rrclass))
         if rrc is not None and not 0 <= rrc <= MAX_U16:
             raise ValueError(f"RRC out of 16-bit range: {rrc}")
         self.rrc = rrc
@@ -72,19 +83,24 @@ class Question:
     def to_wire(self, writer: WireWriter, cu: bool) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
         writer.write_name(self.name)
-        writer.write_u16(self.rrtype)
-        writer.write_u16(self.rrclass)
         if cu:
-            writer.write_u16(self.rrc if self.rrc is not None else 0)
+            writer.write_bytes(_QUESTION_TAIL_RRC.pack(
+                self.rrtype, self.rrclass,
+                self.rrc if self.rrc is not None else 0))
+        else:
+            writer.write_bytes(_QUESTION_TAIL.pack(self.rrtype, self.rrclass))
 
     @classmethod
     def from_wire(cls, reader: WireReader, cu: bool) -> "Question":
         """Decode one instance from the reader's cursor."""
         name = reader.read_name()
-        rrtype = RRType(reader.read_u16())
-        rrclass = RRClass(reader.read_u16())
-        rrc = reader.read_u16() if cu else None
-        return cls(name, rrtype, rrclass, rrc)
+        if cu:
+            rrtype, rrclass, rrc = reader.unpack(_QUESTION_TAIL_RRC)
+        else:
+            rrtype, rrclass = reader.unpack(_QUESTION_TAIL)
+            rrc = None
+        return cls(name, RRTYPE_BY_VALUE.get(rrtype) or RRType(rrtype),
+                   RRCLASS_BY_VALUE.get(rrclass) or RRClass(rrclass), rrc)
 
     def key(self) -> Tuple[Name, RRType, RRClass]:
         """The lookup key for this object."""
@@ -118,7 +134,7 @@ class Message:
                  rcode: Rcode = Rcode.NOERROR):
         self.id = next_message_id() if msg_id is None else msg_id
         self.flags = flags
-        self.rcode_value = Rcode(rcode)
+        self.rcode_value = rcode if type(rcode) is Rcode else Rcode(rcode)
         self.question: List[Question] = []
         self.answer: List[ResourceRecord] = []
         self.authority: List[ResourceRecord] = []
@@ -134,7 +150,9 @@ class Message:
     @property
     def opcode(self) -> Opcode:
         """The message opcode from the header flags."""
-        return Opcode((self.flags >> _OPCODE_SHIFT) & _OPCODE_MASK)
+        value = (self.flags >> _OPCODE_SHIFT) & _OPCODE_MASK
+        opcode = OPCODE_BY_VALUE.get(value)
+        return opcode if opcode is not None else Opcode(value)
 
     @opcode.setter
     def opcode(self, value: Opcode) -> None:
@@ -193,62 +211,57 @@ class Message:
     def to_wire(self) -> bytes:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
         writer = WireWriter()
-        writer.write_u16(self.id)
-        writer.write_u16(self.flags & 0xFFF0 | (int(self.rcode_value) & 0xF))
-        extra = 1 if self.edns_payload_size is not None else 0
-        writer.write_u16(len(self.question))
-        writer.write_u16(len(self.answer))
-        writer.write_u16(len(self.authority))
-        writer.write_u16(len(self.additional) + extra)
-        cu = self.cache_update_aware
+        flags = self.flags
+        edns = self.edns_payload_size
+        writer.write_bytes(_HEADER.pack(
+            self.id, flags & 0xFFF0 | (int(self.rcode_value) & 0xF),
+            len(self.question), len(self.answer), len(self.authority),
+            len(self.additional) + (edns is not None)))
+        cu = bool(flags & FLAG_CU)
         for question in self.question:
             question.to_wire(writer, cu)
         for record in self.answer:
             record.to_wire(writer)
-        if cu and self.is_response:
+        if cu and flags & FLAG_QR:
             writer.write_u16(self.llt if self.llt is not None else 0)
         for record in self.authority:
             record.to_wire(writer)
         for record in self.additional:
             record.to_wire(writer)
-        if self.edns_payload_size is not None:
-            # RFC 6891 OPT pseudo-RR: root owner, CLASS = payload size.
-            writer.write_name(_ROOT_NAME)
-            writer.write_u16(RRType.OPT)
-            writer.write_u16(self.edns_payload_size)
-            writer.write_u32(0)   # extended rcode/version/flags: all zero
-            writer.write_u16(0)   # empty RDATA
+        if edns is not None:
+            writer.write_bytes(_PACK_OPT(0, RRType.OPT, edns, 0, 0))
         return writer.getvalue()
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
         """Decode one instance from the reader's cursor."""
         reader = WireReader(data)
-        msg_id = reader.read_u16()
-        raw_flags = reader.read_u16()
-        counts = [reader.read_u16() for _ in range(4)]
-        message = cls(msg_id, raw_flags & 0xFFF0, Rcode(raw_flags & 0xF))
-        cu = message.cache_update_aware
-        for _ in range(counts[0]):
+        msg_id, raw_flags, questions, answers, authorities, additionals = \
+            reader.unpack(_HEADER)
+        rcode = RCODE_BY_VALUE.get(raw_flags & 0xF)
+        if rcode is None:
+            rcode = Rcode(raw_flags & 0xF)
+        message = cls(msg_id, raw_flags & 0xFFF0, rcode)
+        cu = bool(raw_flags & FLAG_CU)
+        for _ in range(questions):
             message.question.append(Question.from_wire(reader, cu))
-        for _ in range(counts[1]):
+        for _ in range(answers):
             message.answer.append(ResourceRecord.from_wire(reader))
-        if cu and message.is_response:
-            llt = reader.read_u16()
-            message.llt = llt or None
-        for _ in range(counts[2]):
+        if cu and raw_flags & FLAG_QR:
+            message.llt = reader.read_u16() or None
+        for _ in range(authorities):
             message.authority.append(ResourceRecord.from_wire(reader))
-        for _ in range(counts[3]):
+        for _ in range(additionals):
             # Peek for an EDNS0 OPT pseudo-record: its CLASS field holds
             # a payload size, not a real class, so it cannot go through
             # ResourceRecord.from_wire.
             mark = reader.offset
             reader.read_name()
-            peeked_type = reader.read_u16()
-            if peeked_type == RRType.OPT:
-                message.edns_payload_size = reader.read_u16()
-                reader.read_u32()                      # ext-rcode/flags
-                reader.read_bytes(reader.read_u16())   # RDATA (ignored)
+            if reader.read_u16() == RRType.OPT:
+                # CLASS = payload size; ext-rcode/flags and RDATA ignored.
+                message.edns_payload_size, _, rdlength = \
+                    reader.unpack(_OPT_TAIL)
+                reader.read_bytes(rdlength)
                 continue
             reader.seek(mark)
             message.additional.append(ResourceRecord.from_wire(reader))

@@ -8,7 +8,7 @@ original spelling for presentation.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .enums import MAX_LABEL_LENGTH, MAX_NAME_WIRE_LENGTH
 
@@ -30,23 +30,28 @@ class Name:
     Name('example.com.')
     """
 
-    __slots__ = ("_labels", "_key", "_hash")
+    __slots__ = ("_labels", "_key", "_hash", "_wire")
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(labels)
+        wire_length = 1
         for label in labels:
             if not label:
                 raise NameError_("empty label inside a name")
-            if len(label.encode("ascii", "ignore")) > MAX_LABEL_LENGTH:
+            if not label.isascii():
+                raise NameError_(f"non-ASCII label: {label!r}")
+            if len(label) > MAX_LABEL_LENGTH:
                 raise NameError_(f"label too long: {label!r}")
-        if self._wire_length(labels) > MAX_NAME_WIRE_LENGTH:
+            wire_length += len(label) + 1
+        if wire_length > MAX_NAME_WIRE_LENGTH:
             raise NameError_("name exceeds 255 octets on the wire")
         self._labels: Tuple[str, ...] = labels
-        self._key: Tuple[str, ...] = tuple(label.lower() for label in labels)
+        self._key: Tuple[str, ...] = tuple(map(str.lower, labels))
         # Names key every cache, lease table and trace index in the
         # system; precomputing the (immutable) hash keeps those dict
         # operations off the tuple-hashing path.
         self._hash: int = hash(self._key)
+        self._wire: Optional[Tuple[bytes, tuple]] = None
 
     @staticmethod
     def _wire_length(labels: Sequence[str]) -> int:
@@ -95,7 +100,13 @@ class Name:
         """
         if not self._labels:
             raise NameError_("the root name has no parent")
-        return Name(self._labels[1:])
+        # A suffix of a valid name is valid: nothing to check again.
+        parent = Name.__new__(Name)
+        parent._labels = self._labels[1:]
+        parent._key = self._key[1:]
+        parent._hash = hash(parent._key)
+        parent._wire = None
+        return parent
 
     def child(self, label: str) -> "Name":
         """Prepend ``label``, producing a subdomain one level deeper."""
@@ -135,6 +146,28 @@ class Name:
     def wire_length(self) -> int:
         """Uncompressed length of this name on the wire."""
         return self._wire_length(self._labels)
+
+    def wire_form(self) -> Tuple[bytes, Tuple[Tuple[bytes, int], ...]]:
+        """``(image, suffixes)`` for the wire writer, encoded once (the
+        name is immutable, so every writer shares the result).
+
+        ``image`` is the uncompressed encoding without the root octet,
+        spelling preserved.  ``suffixes`` holds, per label, the
+        case-folded image from that label on — the key under which the
+        suffix can be a compression-pointer target — and its offset.
+        """
+        form = self._wire
+        if form is None:
+            image = b"".join(bytes((len(label),)) + label.encode("ascii")
+                             for label in self._labels)
+            folded = image.lower()   # length octets are < 'A': unchanged
+            suffixes = []
+            start = 0
+            for label in self._labels:
+                suffixes.append((folded[start:], start))
+                start += len(label) + 1
+            form = self._wire = (image, tuple(suffixes))
+        return form
 
     # -- text --------------------------------------------------------------
 

@@ -10,11 +10,16 @@ the simulator fabricates millions of them and string keys are cheap.
 from __future__ import annotations
 
 import struct
-from typing import Callable, ClassVar, Dict, List, Tuple, Type
+from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 from .enums import RRType
 from .name import Name, as_name
 from .wire import WireFormatError, WireReader, WireWriter
+
+#: Fixed RDATA layouts, each packed or unpacked in one call.
+_IPV6_GROUPS = struct.Struct("!8H")
+_SOA_TIMERS = struct.Struct("!5I")
+_SRV_FIXED = struct.Struct("!3H")
 
 
 def _check_ipv4(text: str) -> str:
@@ -54,12 +59,7 @@ def _ipv6_to_bytes(text: str) -> bytes:
         groups = head_groups + ["0"] * missing + tail_groups
     else:
         groups = text.split(":")
-    return b"".join(struct.pack("!H", int(g, 16)) for g in groups)
-
-
-def _ipv6_from_bytes(data: bytes) -> str:
-    groups = [f"{struct.unpack('!H', data[i:i + 2])[0]:x}" for i in range(0, 16, 2)]
-    return ":".join(groups)
+    return _IPV6_GROUPS.pack(*(int(g, 16) for g in groups))
 
 
 class Rdata:
@@ -106,14 +106,20 @@ class A(Rdata):
     """An IPv4 address — the record type DNScup's study targets (§3)."""
 
     rrtype = RRType.A
-    __slots__ = ("address",)
+    __slots__ = ("address", "_packed")
 
     def __init__(self, address: str):
         self.address = _check_ipv4(address)
+        #: The four wire octets, computed on first use.
+        self._packed: Optional[bytes] = None
 
     def to_wire(self, writer: WireWriter) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
-        writer.write_bytes(bytes(int(p) for p in self.address.split(".")))
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = bytes(
+                int(p) for p in self.address.split("."))
+        writer.write_bytes(packed)
 
     def to_text(self) -> str:
         """Master-file (presentation) rendering."""
@@ -124,7 +130,12 @@ class A(Rdata):
         """Decode one instance from the reader's cursor."""
         if rdlength != 4:
             raise WireFormatError(f"A rdata must be 4 bytes, got {rdlength}")
-        return cls(".".join(str(b) for b in reader.read_bytes(4)))
+        # Four octets always spell a valid dotted quad: skip the text
+        # validation the constructor would redo and keep the octets.
+        self = cls.__new__(cls)
+        self._packed = reader.read_bytes(4)
+        self.address = "%d.%d.%d.%d" % tuple(self._packed)
+        return self
 
     @classmethod
     def from_text(cls, fields: List[str], origin: Name) -> "A":
@@ -140,14 +151,16 @@ class AAAA(Rdata):
     """An IPv6 address."""
 
     rrtype = RRType.AAAA
-    __slots__ = ("address",)
+    __slots__ = ("address", "_packed")
 
     def __init__(self, address: str):
         self.address = _check_ipv6(address)
+        #: The sixteen wire octets; also the value the address compares by.
+        self._packed = _ipv6_to_bytes(self.address)
 
     def to_wire(self, writer: WireWriter) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
-        writer.write_bytes(_ipv6_to_bytes(self.address))
+        writer.write_bytes(self._packed)
 
     def to_text(self) -> str:
         """Master-file (presentation) rendering."""
@@ -158,7 +171,8 @@ class AAAA(Rdata):
         """Decode one instance from the reader's cursor."""
         if rdlength != 16:
             raise WireFormatError(f"AAAA rdata must be 16 bytes, got {rdlength}")
-        return cls(_ipv6_from_bytes(reader.read_bytes(16)))
+        return cls(":".join(
+            f"{group:x}" for group in reader.unpack(_IPV6_GROUPS)))
 
     @classmethod
     def from_text(cls, fields: List[str], origin: Name) -> "AAAA":
@@ -167,7 +181,7 @@ class AAAA(Rdata):
         return cls(address)
 
     def _key(self) -> Tuple:
-        return (_ipv6_to_bytes(self.address),)
+        return (self._packed,)
 
 
 class _SingleName(Rdata):
@@ -239,8 +253,8 @@ class SOA(Rdata):
         """Serialize onto ``writer`` in RFC 1035 wire format."""
         writer.write_name(self.mname)
         writer.write_name(self.rname)
-        for value in (self.serial, self.refresh, self.retry, self.expire, self.minimum):
-            writer.write_u32(value)
+        writer.write_bytes(_SOA_TIMERS.pack(
+            self.serial, self.refresh, self.retry, self.expire, self.minimum))
 
     def to_text(self) -> str:
         """Master-file (presentation) rendering."""
@@ -252,8 +266,7 @@ class SOA(Rdata):
         """Decode one instance from the reader's cursor."""
         mname = reader.read_name()
         rname = reader.read_name()
-        serial, refresh, retry, expire, minimum = (reader.read_u32() for _ in range(5))
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return cls(mname, rname, *reader.unpack(_SOA_TIMERS))
 
     @classmethod
     def from_text(cls, fields: List[str], origin: Name) -> "SOA":
@@ -359,9 +372,8 @@ class SRV(Rdata):
 
     def to_wire(self, writer: WireWriter) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
-        writer.write_u16(self.priority)
-        writer.write_u16(self.weight)
-        writer.write_u16(self.port)
+        writer.write_bytes(
+            _SRV_FIXED.pack(self.priority, self.weight, self.port))
         writer.write_name(self.target)
 
     def to_text(self) -> str:
@@ -371,8 +383,7 @@ class SRV(Rdata):
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "SRV":
         """Decode one instance from the reader's cursor."""
-        return cls(reader.read_u16(), reader.read_u16(), reader.read_u16(),
-                   reader.read_name())
+        return cls(*reader.unpack(_SRV_FIXED), reader.read_name())
 
     @classmethod
     def from_text(cls, fields: List[str], origin: Name) -> "SRV":

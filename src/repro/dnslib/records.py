@@ -8,12 +8,19 @@ zone stores and a cache caches.  TTLs live on the set, matching RFC 2181
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable, Iterator, List, Tuple
 
-from .enums import RRClass, RRType
+from .enums import RRCLASS_BY_VALUE, RRTYPE_BY_VALUE, RRClass, RRType
 from .name import Name, as_name
 from .rdata import Rdata, rdata_from_wire
 from .wire import WireReader, WireWriter
+
+#: The fixed part of a record after its owner name (RFC 1035 §4.1.3):
+#: TYPE, CLASS, TTL, RDLENGTH — and the same without the length, which
+#: the writer back-patches.
+_RR_FIXED = struct.Struct("!HHIH")
+_PACK_TYPE_CLASS_TTL = struct.Struct("!HHI").pack
 
 
 class ResourceRecord:
@@ -23,9 +30,10 @@ class ResourceRecord:
 
     def __init__(self, name, rrtype: RRType, ttl: int, rdata: Rdata,
                  rrclass: RRClass = RRClass.IN):
-        self.name: Name = as_name(name)
-        self.rrtype = RRType(rrtype)
-        self.rrclass = RRClass(rrclass)
+        self.name: Name = name if type(name) is Name else as_name(name)
+        self.rrtype = rrtype if type(rrtype) is RRType else RRType(rrtype)
+        self.rrclass = (rrclass if type(rrclass) is RRClass
+                        else RRClass(rrclass))
         if ttl < 0 or ttl > 0x7FFFFFFF:
             raise ValueError(f"TTL out of range: {ttl}")
         self.ttl = ttl
@@ -36,27 +44,17 @@ class ResourceRecord:
     def to_wire(self, writer: WireWriter) -> None:
         """Serialize onto ``writer`` in RFC 1035 wire format."""
         writer.write_name(self.name)
-        writer.write_u16(self.rrtype)
-        writer.write_u16(self.rrclass)
-        writer.write_u32(self.ttl)
-        # RDLENGTH is not knowable before rdata is rendered (name
-        # compression), so render into a sub-writer that shares no
-        # compression state crossing the length field.  We render rdata
-        # with compression disabled to keep lengths deterministic.
-        sub = WireWriter(compress=False)
-        self.rdata.to_wire(sub)
-        payload = sub.getvalue()
-        writer.write_u16(len(payload))
-        writer.write_bytes(payload)
+        writer.write_bytes(
+            _PACK_TYPE_CLASS_TTL(self.rrtype, self.rrclass, self.ttl))
+        writer.write_rdata(self.rdata)
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
         """Decode one instance from the reader's cursor."""
         name = reader.read_name()
-        rrtype = RRType(reader.read_u16())
-        rrclass = RRClass(reader.read_u16())
-        ttl = reader.read_u32()
-        rdlength = reader.read_u16()
+        rrtype, rrclass, ttl, rdlength = reader.unpack(_RR_FIXED)
+        rrtype = RRTYPE_BY_VALUE.get(rrtype) or RRType(rrtype)
+        rrclass = RRCLASS_BY_VALUE.get(rrclass) or RRClass(rrclass)
         rdata = rdata_from_wire(rrtype, reader, rdlength)
         return cls(name, rrtype, ttl, rdata, rrclass)
 
@@ -96,9 +94,10 @@ class RRSet:
 
     def __init__(self, name, rrtype: RRType, ttl: int,
                  rdatas: Iterable[Rdata] = (), rrclass: RRClass = RRClass.IN):
-        self.name: Name = as_name(name)
-        self.rrtype = RRType(rrtype)
-        self.rrclass = RRClass(rrclass)
+        self.name: Name = name if type(name) is Name else as_name(name)
+        self.rrtype = rrtype if type(rrtype) is RRType else RRType(rrtype)
+        self.rrclass = (rrclass if type(rrclass) is RRClass
+                        else RRClass(rrclass))
         self.ttl = ttl
         self._rdatas: List[Rdata] = []
         for rdata in rdatas:

@@ -15,7 +15,7 @@ DNScup prototype's claim that all of its messages fit in 512 bytes
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .name import Name, NameError_
 
@@ -24,8 +24,16 @@ _POINTER_TAG = 0xC0
 _MAX_POINTER_OFFSET = 0x3FFF
 
 _PACK_U8 = struct.Struct("!B").pack
-_PACK_U16 = struct.Struct("!H").pack
-_PACK_U32 = struct.Struct("!I").pack
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_PACK_U16 = _U16.pack
+_PACK_U32 = _U32.pack
+
+#: Most decoded names the process keeps (see :meth:`WireReader.read_name`).
+#: A key is at most 254 octets, so a full table of hostile names holds a
+#: few MB; the benchmark workloads keep a few hundred entries.
+NAME_INTERN_CAP = 4096
+_interned_names: Dict[bytes, Name] = {}
 
 
 class WireFormatError(ValueError):
@@ -35,27 +43,24 @@ class WireFormatError(ValueError):
 class WireWriter:
     """Accumulates a DNS message body with name compression.
 
-    The compression table maps lower-cased label suffix tuples to the
-    offset of their first occurrence, exactly as BIND does.  Compression
+    The compression table maps case-folded name suffixes to the offset
+    of their first occurrence, exactly as BIND does.  Compression
     can be disabled (``compress=False``) — RFC 3597 forbids compressing
     names inside the RDATA of unknown types, and tests use it to measure
     the savings compression buys.
 
     Output accumulates in one growing :class:`bytearray` (amortized O(1)
-    appends, no per-write 1–2-byte ``bytes`` objects), and each name's
-    length-prefixed label encodings are cached so re-emitting a name —
-    the uncompressed path and every partial suffix match — skips the
-    per-label ASCII re-encoding.  :meth:`reset` clears the message state
-    while keeping the grown buffer storage and the name cache, so one
-    writer can encode a stream of messages.
+    appends, no per-write 1–2-byte ``bytes`` objects).  The encoded
+    form of a name lives on the :class:`Name` itself
+    (:meth:`Name.wire_form`), so it survives the writer.
+    :meth:`reset` clears the message state while keeping the grown
+    buffer storage, so one writer can encode a stream of messages.
     """
 
     def __init__(self, compress: bool = True):
         self._buffer = bytearray()
         self._compress = compress
-        self._offsets: Dict[Tuple[str, ...], int] = {}
-        #: Exact-spelling label-chunk cache: labels tuple -> encoded chunks.
-        self._name_cache: Dict[Tuple[str, ...], Tuple[bytes, ...]] = {}
+        self._offsets: Dict[bytes, int] = {}
 
     # -- primitives --------------------------------------------------------
 
@@ -84,44 +89,43 @@ class WireWriter:
 
     # -- names -------------------------------------------------------------
 
-    def _encoded_labels(self, name: Name) -> Tuple[bytes, ...]:
-        """``name``'s length-prefixed label chunks, cached by spelling."""
-        labels = name.labels
-        chunks = self._name_cache.get(labels)
-        if chunks is None:
-            chunks = tuple(_PACK_U8(len(encoded)) + encoded
-                           for encoded in (label.encode("ascii")
-                                           for label in labels))
-            self._name_cache[labels] = chunks
-        return chunks
-
     def write_name(self, name: Name) -> None:
         """Emit ``name``, compressing against previously written names."""
-        key = name.key
         buffer = self._buffer
-        if self._compress:
-            target = self._offsets.get(key)
-            if target is not None:
-                # Whole-name hit — the common case on repeated owners.
-                buffer += _PACK_U16(_POINTER_TAG << 8 | target)
-                return
-        chunks = self._encoded_labels(name)
+        image, suffixes = name.wire_form()
         if self._compress:
             offsets = self._offsets
-            for i in range(len(chunks)):
-                suffix = key[i:]
-                if i:
-                    target = offsets.get(suffix)
-                    if target is not None:
-                        buffer += _PACK_U16(_POINTER_TAG << 8 | target)
-                        return
-                if len(buffer) <= _MAX_POINTER_OFFSET:
-                    offsets[suffix] = len(buffer)
-                buffer += chunks[i]
-        else:
-            for chunk in chunks:
-                buffer += chunk
+            base = len(buffer)
+            for suffix, start in suffixes:
+                target = offsets.get(suffix)
+                if target is not None:
+                    # Labels before the match, then the pointer.  On a
+                    # repeated owner the match is the whole name.
+                    buffer += image[:start]
+                    buffer += _PACK_U16(_POINTER_TAG << 8 | target)
+                    return
+                if base + start <= _MAX_POINTER_OFFSET:
+                    offsets[suffix] = base + start
+        buffer += image
         buffer.append(0)
+
+    def write_rdata(self, rdata: Any) -> None:
+        """Emit RDLENGTH and ``rdata``'s bytes straight into the buffer.
+
+        The length is back-patched once the rdata is rendered.  Names
+        inside RDATA are written uncompressed and never become pointer
+        targets, which keeps RDLENGTH independent of what the message
+        already holds (and is what RFC 3597 requires for unknown types).
+        """
+        buffer = self._buffer
+        buffer += b"\x00\x00"
+        start = len(buffer)
+        compress, self._compress = self._compress, False
+        try:
+            rdata.to_wire(self)
+        finally:
+            self._compress = compress
+        _U16.pack_into(buffer, start - 2, len(buffer) - start)
 
     # -- output ------------------------------------------------------------
 
@@ -130,7 +134,7 @@ class WireWriter:
         return bytes(self._buffer)
 
     def reset(self) -> None:
-        """Start a fresh message, reusing buffer storage and name cache."""
+        """Start a fresh message, reusing the buffer storage."""
         self._buffer.clear()
         self._offsets.clear()
 
@@ -142,7 +146,9 @@ class WireReader:
     """Sequential reader over a full DNS message with pointer chasing."""
 
     def __init__(self, data: bytes, offset: int = 0):
-        self._data = data
+        # Name images are dict keys, so the buffer must slice to bytes;
+        # for a bytes argument this is the argument itself, not a copy.
+        self._data = bytes(data)
         self._offset = offset
 
     @property
@@ -171,17 +177,28 @@ class WireReader:
         self._offset += count
         return chunk
 
+    def unpack(self, layout: struct.Struct) -> Tuple[Any, ...]:
+        """Consume one fixed ``layout`` (a header, an RR's fixed part) in
+        a single call; a short buffer is a truncated message."""
+        offset = self._offset
+        try:
+            fields = layout.unpack_from(self._data, offset)
+        except struct.error:
+            raise WireFormatError("truncated message") from None
+        self._offset = offset + layout.size
+        return fields
+
     def read_u8(self) -> int:
         """Consume one unsigned byte."""
         return self.read_bytes(1)[0]
 
     def read_u16(self) -> int:
         """Consume a 16-bit big-endian integer."""
-        return struct.unpack("!H", self.read_bytes(2))[0]
+        return self.unpack(_U16)[0]
 
     def read_u32(self) -> int:
         """Consume a 32-bit big-endian integer."""
-        return struct.unpack("!I", self.read_bytes(4))[0]
+        return self.unpack(_U32)[0]
 
     def read_string(self) -> bytes:
         """Consume one length-prefixed character string."""
@@ -190,44 +207,72 @@ class WireReader:
     # -- names -------------------------------------------------------------
 
     def read_name(self) -> Name:
-        """Decode a possibly-compressed name starting at the cursor."""
-        labels: List[str] = []
-        jumps = 0
-        cursor = self._offset
+        """Decode a possibly-compressed name starting at the cursor.
+
+        The walk checks every length octet and pointer but copies
+        nothing per label: it collects the name's *uncompressed image*
+        (the runs of length-prefixed labels between pointers), and that
+        image — the exact spelling, case included — keys a process-wide
+        table of validated names.  Validation is a pure function of the
+        labels and :class:`Name` is immutable, so a hit is the object
+        the constructor would have built.  Only names that validated
+        are stored, and the table is emptied when it reaches
+        :data:`NAME_INTERN_CAP`, so hostile input cannot grow it.
+        """
+        data = self._data
+        size = len(data)
+        cursor = start = self._offset
         resume: Optional[int] = None
+        jumps = 0
+        image = b""
         while True:
-            if cursor >= len(self._data):
+            if cursor >= size:
                 raise WireFormatError("name runs past end of message")
-            length = self._data[cursor]
-            if length & _POINTER_TAG == _POINTER_TAG:
-                if cursor + 1 >= len(self._data):
-                    raise WireFormatError("truncated compression pointer")
-                pointer = ((length & 0x3F) << 8) | self._data[cursor + 1]
-                if resume is None:
-                    resume = cursor + 2
-                if pointer >= cursor:
-                    raise WireFormatError("forward compression pointer")
-                jumps += 1
-                if jumps > 128:
-                    raise WireFormatError("compression pointer loop")
-                cursor = pointer
-                continue
-            if length & _POINTER_TAG:
-                raise WireFormatError(f"bad label tag 0x{length:02x}")
+            length = data[cursor]
             if length == 0:
-                cursor += 1
                 break
-            start = cursor + 1
-            end = start + length
-            if end > len(self._data):
-                raise WireFormatError("label runs past end of message")
-            try:
-                labels.append(self._data[start:end].decode("ascii"))
-            except UnicodeDecodeError as exc:
-                raise WireFormatError("non-ascii label") from exc
-            cursor = end
-        self._offset = resume if resume is not None else cursor
-        try:
-            return Name(labels)
-        except NameError_ as exc:
-            raise WireFormatError(str(exc)) from exc
+            if length < 0x40:
+                cursor += 1 + length
+                if cursor > size:
+                    raise WireFormatError("label runs past end of message")
+                continue
+            if length < _POINTER_TAG:
+                raise WireFormatError(f"bad label tag 0x{length:02x}")
+            if cursor + 1 >= size:
+                raise WireFormatError("truncated compression pointer")
+            pointer = ((length & 0x3F) << 8) | data[cursor + 1]
+            if resume is None:
+                resume = cursor + 2
+            if pointer >= cursor:
+                raise WireFormatError("forward compression pointer")
+            jumps += 1
+            if jumps > 128:
+                raise WireFormatError("compression pointer loop")
+            image += data[start:cursor]
+            cursor = start = pointer
+        image += data[start:cursor]
+        self._offset = cursor + 1 if resume is None else resume
+        name = _interned_names.get(image)
+        return name if name is not None else _intern_name(image)
+
+
+def _intern_name(image: bytes) -> Name:
+    """Validate, build and remember the name with this uncompressed image."""
+    try:
+        text = image.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError("non-ascii label") from exc
+    labels: List[str] = []
+    cursor = 0
+    while cursor < len(image):
+        end = cursor + 1 + image[cursor]
+        labels.append(text[cursor + 1:end])
+        cursor = end
+    try:
+        name = Name(labels)
+    except NameError_ as exc:
+        raise WireFormatError(str(exc)) from exc
+    if len(_interned_names) >= NAME_INTERN_CAP:
+        _interned_names.clear()
+    _interned_names[image] = name
+    return name

@@ -218,6 +218,20 @@ def _as_seq(fields: Dict[str, object]) -> int:
     return int(value) if value is not None else 0
 
 
+def _closed(span: Optional[ChangeSpan]) -> bool:
+    """True once ``span`` settled with every leg resolved.
+
+    Its story is over — the notification module settles a change only
+    after all its legs resolved, and a new change to the same record
+    gets a fresh seq — so a later ``change.detected`` or ``notify.send``
+    carrying that seq belongs to no span.  The streaming auditor drops
+    the span's per-leg state at exactly this point, which is why the
+    rule lives here: both auditors must freeze the same spans.
+    """
+    return (span is not None and span.settled_index is not None
+            and all(leg.resolved for leg in span.legs))
+
+
 def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
     """Reconstruct change and lease spans from one event stream.
 
@@ -267,6 +281,10 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
             if not seq:
                 orphans.append((index, "change.detected without seq"))
                 continue
+            if _closed(by_seq.get(seq)):
+                orphans.append(
+                    (index, f"change.detected after change settled seq={seq}"))
+                continue
             span = span_for(seq)
             if span.detected_index is not None:
                 orphans.append((index, f"duplicate change.detected seq={seq}"))
@@ -279,6 +297,10 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
             span.kind = fields.get("kind")
         elif event == NOTIFY_SEND:
             seq = _as_seq(fields)
+            if seq and _closed(by_seq.get(seq)):
+                orphans.append(
+                    (index, f"notify.send after change settled seq={seq}"))
+                continue
             leg = NotificationLeg(
                 seq=seq, cache=str(fields.get("cache")),
                 name=fields.get("name"), rrtype=fields.get("rrtype"),

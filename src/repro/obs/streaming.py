@@ -30,15 +30,17 @@ asserted against documented bounds in the benches.
 
 Equivalence contract (property-tested in
 ``tests/test_obs_streaming.py`` and asserted bit-for-bit in
-``benchmarks/bench_streaming_audit.py``): on every prefix of a
-*prefix-complete* trace, :meth:`report` yields the same
+``benchmarks/bench_streaming_audit.py``): on every prefix of *any*
+trace, :meth:`report` yields the same
 :class:`~repro.obs.audit.Violation` multiset, check counts, and event
-totals as ``audit_trace`` over that prefix.  Prefix-complete means no
-``notify.send`` for a seq arrives after that seq's ``change.settled``
-has been observed with every earlier leg already resolved — true of
-every trace the instrumentation emits, because the notification
-module settles a change only once all its legs resolved and a new
-change to the same record gets a fresh seq.
+totals as ``audit_trace`` over that prefix.  Retiring a span is safe
+because both auditors freeze it at the same point
+(:func:`repro.obs.spans._closed`): a ``notify.send`` or
+``change.detected`` that names a seq whose change already settled with
+every leg resolved is an orphan, not a late addition to the span — the
+notification module settles a change only once all its legs resolved
+and a new change to the same record gets a fresh seq, so no trace the
+instrumentation emits contains one.
 
 Both auditors build violations through the shared constructors in
 :mod:`repro.obs.audit`, so messages and evidence tuples agree by
@@ -386,6 +388,10 @@ class IncrementalAuditor:
             self._orphan(index, "change.detected without seq")
             return
         change = self._change_for(seq)
+        if change.retired:
+            self._orphan(
+                index, f"change.detected after change settled seq={seq}")
+            return
         if change.detected_index is not None:
             self._orphan(index, f"duplicate change.detected seq={seq}")
             return
@@ -426,18 +432,20 @@ class IncrementalAuditor:
     def _on_send(self, index: int, t: float,
                  fields: Dict[str, object]) -> None:
         seq = _as_seq(fields)
+        change = self._change_for(seq) if seq else None
+        if change is not None and change.retired:
+            self._orphan(index, f"notify.send after change settled seq={seq}")
+            return
         leg = _Leg(seq=seq, cache=str(fields.get("cache")),
                    name=fields.get("name"), rrtype=fields.get("rrtype"),
                    send_index=index, send_t=t)
         self._check(TERMINATION)
         self._check(CAUSALITY)
-        if not seq:
+        if change is None:
             self._untracked.append(leg)
             return
-        change = self._change_for(seq)
         change.unresolved.append(leg)
-        if not change.retired:
-            change.send_indices.append(index)
+        change.send_indices.append(index)
         if change.pre_detect_caches is not None:
             change.pre_detect_caches.add(leg.cache)
         elif change.pending_holders:
@@ -497,7 +505,7 @@ class IncrementalAuditor:
                     self._permanent.append(stale_holder_violation(
                         leg.seq, leg.cache, t, leg.send_index, index,
                         staleness, self.limits.max_staleness))
-            elif not change.retired:
+            else:
                 change.pre_detect_acks.append(
                     (leg.send_index, index, t, leg.cache))
         if change.settled_index is not None:

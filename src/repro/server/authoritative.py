@@ -102,12 +102,13 @@ class AuthoritativeServer:
 
     def zone_for(self, name: Name) -> Optional[Zone]:
         """The closest enclosing zone this server is authoritative for."""
-        best: Optional[Zone] = None
-        for origin, zone in self._zones.items():
-            if name.is_subdomain_of(origin):
-                if best is None or len(origin) > len(best.origin):
-                    best = zone
-        return best
+        # Longest suffix first, so the first origin found is the closest:
+        # at most one probe per label however many zones are served.
+        for ancestor in name.ancestors():
+            zone = self._zones.get(ancestor)
+            if zone is not None:
+                return zone
+        return None
 
     @property
     def zones(self) -> List[Zone]:

@@ -10,6 +10,7 @@ from repro.dnslib import (
     Question,
     Rcode,
     ResourceRecord,
+    RRClass,
     RRType,
     WireFormatError,
     make_cache_update,
@@ -48,6 +49,49 @@ class TestHeaderFlags:
 
     def test_ids_distinct(self):
         assert Message().id != Message().id
+
+
+class TestUnknownCodePoints:
+    """The decoders look codes up in tables; a miss must be the very
+    error the enum call raises."""
+
+    QUERY = make_query("www.example.com", RRType.A).to_wire()
+    RECORD = make_cache_update("a.b", [
+        ResourceRecord("a.b", RRType.A, 60, A("1.2.3.4"))]).to_wire()
+
+    @staticmethod
+    def patched(wire, offset, value):
+        return wire[:offset] + value.to_bytes(2, "big") + wire[offset + 2:]
+
+    @staticmethod
+    def enum_error(enum_cls, value):
+        with pytest.raises(ValueError) as caught:
+            enum_cls(value)
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("wire, offset, enum_cls", [
+        (QUERY, len(QUERY) - 4, RRType), (QUERY, len(QUERY) - 2, RRClass),
+        (RECORD, len(RECORD) - 14, RRType), (RECORD, len(RECORD) - 12, RRClass),
+    ])
+    def test_type_and_class_misses(self, wire, offset, enum_cls):
+        Message.from_wire(self.patched(wire, offset, 1))     # offset is right
+        with pytest.raises(ValueError) as caught:
+            Message.from_wire(self.patched(wire, offset, 9999))
+        assert (type(caught.value), str(caught.value)) == \
+            self.enum_error(enum_cls, 9999)
+
+    def test_rcode_miss(self):
+        with pytest.raises(ValueError) as caught:
+            Message.from_wire(self.patched(self.QUERY, 2, 0x010F))
+        assert (type(caught.value), str(caught.value)) == \
+            self.enum_error(Rcode, 15)
+
+    def test_opcode_miss_surfaces_on_access(self):
+        message = Message.from_wire(self.patched(self.QUERY, 2, 0x7900))
+        with pytest.raises(ValueError) as caught:
+            message.opcode
+        assert (type(caught.value), str(caught.value)) == \
+            self.enum_error(Opcode, 15)
 
 
 class TestQueryResponse:

@@ -35,6 +35,20 @@ class TestConstruction:
         with pytest.raises(NameError_):
             Name(labels)
 
+    @pytest.mark.parametrize("labels", [["é" * 100], ["caf\u00e9", "com"],
+                                        ["x", "\u4f8b\u3048"]])
+    def test_non_ascii_label_rejected(self, labels):
+        """Was accepted (the length check ignored non-ASCII characters)
+        and then died with UnicodeEncodeError in the first write_name."""
+        with pytest.raises(NameError_, match="non-ASCII"):
+            Name(labels)
+
+    def test_non_ascii_text_rejected(self):
+        with pytest.raises(NameError_, match="non-ASCII"):
+            Name.from_text("www.ex\u00e4mple.com")
+        with pytest.raises(NameError_):
+            as_name("\u00fc.example")
+
     def test_as_name_passthrough(self):
         name = Name.from_text("a.b")
         assert as_name(name) is name

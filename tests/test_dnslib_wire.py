@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dnslib import Name, WireFormatError, WireReader, WireWriter
+from repro.dnslib import Name, WireFormatError, WireReader, WireWriter, wire
 
 
 class TestPrimitives:
@@ -136,3 +136,50 @@ class TestNames:
     def test_deep_chain_roundtrip(self):
         names = [f"h{i}.deep.example.org" for i in range(20)]
         self.roundtrip(*names)
+
+    def test_non_ascii_label_rejected(self):
+        with pytest.raises(WireFormatError, match="non-ascii"):
+            WireReader(b"\x02\xc3\xa9\x03com\x00").read_name()
+
+
+def _name_image(*labels):
+    return b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
+
+
+class TestNameInternTable:
+    """read_name shares validated Name objects through a bounded table."""
+
+    def test_hit_is_the_same_object(self):
+        data = _name_image(b"shared", b"example", b"com")
+        first = WireReader(data).read_name()
+        assert WireReader(data).read_name() is first
+        # Reached through a pointer, the image — and the object — is the same.
+        assert WireReader(data + b"\xc0\x00", len(data)).read_name() is first
+
+    def test_spelling_is_part_of_the_key(self):
+        upper = WireReader(_name_image(b"WWW", b"Example", b"com")).read_name()
+        lower = WireReader(_name_image(b"www", b"example", b"com")).read_name()
+        assert upper == lower and hash(upper) == hash(lower)
+        assert upper.to_text() == "WWW.Example.com."
+        assert lower.to_text() == "www.example.com."
+
+    def test_hostile_names_cannot_grow_it_past_the_cap(self):
+        peak = 0
+        for i in range(100_000):
+            WireReader(_name_image(b"h%d" % i, b"flood", b"test")).read_name()
+            peak = max(peak, len(wire._interned_names))
+        assert peak <= wire.NAME_INTERN_CAP
+        # Still a working cache afterwards.
+        data = _name_image(b"after", b"flood", b"test")
+        assert WireReader(data).read_name() is WireReader(data).read_name()
+
+    def test_invalid_name_is_never_cached(self):
+        too_long = _name_image(*[b"a" * 63] * 4)           # 257 octets
+        non_ascii = _name_image(b"caf\xc3\xa9", b"test")
+        for data in (too_long, non_ascii):
+            for _ in range(2):
+                with pytest.raises(WireFormatError):
+                    WireReader(data).read_name()
+            assert data[:-1] not in wire._interned_names
+        assert all(name.wire_length() <= 255
+                   for name in wire._interned_names.values())

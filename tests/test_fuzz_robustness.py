@@ -6,6 +6,9 @@ and mutated input.  Hypothesis drives random bytes, truncations, and
 single-byte corruptions of valid messages through every decode path.
 """
 
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +81,53 @@ class TestMessageDecoderRobustness:
         message = Message.from_wire(wire)
         # And re-encode stably.
         assert Message.from_wire(message.to_wire()).id == message.id
+
+
+GOLDEN = {name: bytes.fromhex(image) for name, image in json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "wire_golden.json")
+    .read_text()).items()}
+#: Exhaustive sweeps skip the one 18 kB vector (strided prefixes only).
+SMALL_GOLDEN = sorted(name for name, wire in GOLDEN.items()
+                      if len(wire) < 1024)
+#: Byte values written over every position: each single-bit flip, the
+#: inverse, and the codec's structural boundaries — 0x00 (root / empty),
+#: 0x3F and 0x40 (longest label / first bad tag), 0xC0 (pointer), 0xFF.
+CORRUPTIONS = [lambda b, bit=bit: b ^ (1 << bit) for bit in range(8)] + \
+    [lambda b: b ^ 0xFF] + \
+    [lambda b, v=v: v for v in (0x00, 0x3F, 0x40, 0xC0, 0xFF)]
+#: Vectors on the notification and lease paths get all 255 other values.
+FULL_SWEEP = ["cache_update_ack", "query_rrc_mixed_case", "response_rrc_llt"]
+
+
+def decodes_or_fails_closed(data):
+    try:
+        Message.from_wire(data)
+    except ACCEPTABLE:
+        return False
+    return True
+
+
+class TestGoldenVectorMutations:
+    """Deterministic counterpart of the Hypothesis mutations above, over
+    the golden vectors (every rdata class, every pointer shape)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_strict_prefix_is_rejected(self, name):
+        wire = GOLDEN[name]
+        step = 1 if name in SMALL_GOLDEN else 97
+        for cut in range(0, len(wire), step):
+            assert not decodes_or_fails_closed(wire[:cut]), (name, cut)
+
+    @pytest.mark.parametrize("name", SMALL_GOLDEN)
+    def test_every_byte_corrupted_fails_closed(self, name):
+        mutated = bytearray(GOLDEN[name])
+        for position, original in enumerate(mutated):
+            values = (range(256) if name in FULL_SWEEP else
+                      {corrupt(original) for corrupt in CORRUPTIONS})
+            for value in values:
+                mutated[position] = value
+                decodes_or_fails_closed(bytes(mutated))
+            mutated[position] = original
 
 
 class TestNameDecoderRobustness:

@@ -9,7 +9,8 @@ the violation kind that bug produces.
 import pytest
 
 from repro.core import DNScupConfig, DynamicLeasePolicy, attach_dnscup
-from repro.dnslib import Name, RRType
+from repro.dnslib import (Message, Name, Rcode, RRType, make_query,
+                          make_response)
 from repro.net import Host, Network, Simulator
 from repro.obs import (
     BUDGET_RENEWAL,
@@ -214,6 +215,65 @@ www  IN A   10.0.0.10
         assert report.ok, report.as_dict()
         assert report.spans.change_for(1) is not None
         assert len(report.spans.change_for(1).acked_legs()) == 1
+
+    @pytest.mark.parametrize("reply", [
+        lambda update: make_response(update, Rcode.REFUSED),
+        lambda update: make_response(update, Rcode.NOTIMP),
+        lambda update: make_response(update, Rcode.FORMERR),
+        # NOERROR, but not a CACHE-UPDATE acknowledgement.
+        lambda update: make_response(make_query("www.example.com", RRType.A)),
+    ], ids=["refused", "notimp", "formerr", "query-response"])
+    def test_refusing_cache_is_a_failed_leg(self, simulator, reply):
+        """A reply that matches the CACHE-UPDATE's ID but does not
+        acknowledge it must not close the consistency window (it used to
+        be parsed, ignored and counted as an ack).  The audit still
+        passes: the leg terminated — as a failure."""
+        network = Network(simulator, seed=2)
+        obs = Observability.for_simulator(simulator, capture=True)
+        obs.observe_network(network)
+        zone = load_zone("""\
+$ORIGIN example.com.
+$TTL 300
+@    IN SOA ns1 admin 1 7200 900 604800 300
+@    IN NS  ns1
+ns1  IN A   10.0.0.1
+www  IN A   10.0.0.10
+""")
+        auth = AuthoritativeServer(Host(network, "10.0.0.1"), [zone])
+        middleware = attach_dnscup(auth, policy=DynamicLeasePolicy(0.0),
+                                   config=DNScupConfig(observability=obs))
+        resolver = RecursiveResolver(Host(network, "10.0.0.2"),
+                                     [("10.0.0.1", 53)], dnscup_enabled=True)
+        client = StubResolver(Host(network, "10.0.0.3"), ("10.0.0.2", 53),
+                              cache_seconds=0.0)
+        client.lookup("www.example.com", lambda addrs, rc: None)
+        simulator.run()
+        assert len(middleware.table) == 1
+
+        # The lease holder turns into a cache that refuses the push.
+        def refuse(payload, src, dst):
+            update = Message.from_wire(payload)
+            answer = reply(update)
+            answer.id = update.id
+            resolver.service_socket.send(answer.to_wire(), src)
+
+        resolver.service_socket.on_receive(refuse)
+        zone.replace_address("www.example.com", ["10.0.0.99"])
+        simulator.run()
+
+        stats = middleware.notification.stats
+        assert (stats.notifications_sent, stats.acks_received,
+                stats.failures, stats.in_flight) == (1, 0, 1, 0)
+        timeouts = [fields for _, name, fields in obs.trace
+                    if name == "notify.timeout"]
+        assert [fields["reason"] for fields in timeouts] == ["rejected"]
+        report = audit_observability(obs, AuditLimits(storage_budget=10))
+        assert report.ok, report.as_dict()
+        span = report.spans.change_for(1)
+        assert span.acked_legs() == [] and len(span.legs) == 1
+        assert span.legs[0].timeout_reason == "rejected"
+        assert (span.settled_acked, span.settled_failed) == (0, 1)
+        assert span.settled_window is None
 
     def test_audit_refuses_overflowed_trace(self):
         obs = Observability(trace=TraceBus(capacity=1), registry=None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import (
     LATENCY_BUCKETS,
@@ -135,6 +135,10 @@ OPS = st.lists(
 
 
 class TestPropertyEquivalence:
+    # The wrap-around swap moves change.settled to the very front: the
+    # streaming auditor retired the (empty) span there and then, while
+    # the batch auditor kept attaching the later detect/sends to it.
+    @example(ops=[("swap", 52, 0.0), ("drop", 10, 0.0), ("swap", 9, 0.0)])
     @given(ops=OPS)
     @settings(max_examples=80, deadline=None)
     def test_tampered_traces_match_batch_at_every_prefix(self, ops):
@@ -146,6 +150,22 @@ class TestPropertyEquivalence:
     def test_tampered_traces_match_without_limits(self, ops):
         events = apply_ops(clean_trace(), ops)
         assert_equivalent_at_every_prefix(events, AuditLimits())
+
+    def test_events_after_a_closed_span_are_orphans_in_both(self):
+        """Settled with every leg resolved, a seq is closed: a later
+        detect or send naming it joins no span, in either auditor."""
+        events = clean_trace()
+        settled = events.pop(8)
+        assert settled[1] == "change.settled"
+        events.insert(0, settled)
+        assert_equivalent_at_every_prefix(events, TIGHT)
+        report = audit_trace(events, limits=TIGHT)
+        reasons = [v.message for v in report.violations
+                   if v.message.startswith("orphan event")]
+        assert sum("after change settled seq=1" in r for r in reasons) == 3
+        assert sum("without outstanding send" in r for r in reasons) == 3
+        span = report.spans.change_for(1)
+        assert span.legs == [] and span.detected_index is None
 
     def test_clean_trace_equivalent_and_ok(self):
         events = clean_trace()

@@ -37,6 +37,60 @@ def setup(make_host, simulator):
     return server, zone, ask
 
 
+def _bare_zone(origin):
+    return load_zone("@ 300 IN SOA ns1 admin 1 7200 900 604800 300\n"
+                     "@ 300 IN NS ns1\n", origin=Name.from_text(origin))
+
+
+class TestZoneFor:
+    """Closest-enclosing-zone selection, found by walking the query
+    name's suffixes rather than scanning every zone."""
+
+    ORIGINS = ["example.com", "sub.example.com", "deep.sub.example.com",
+               "example.org", "other.com"]
+
+    def server(self, make_host, origins):
+        return AuthoritativeServer(make_host("10.0.0.1"),
+                                   [_bare_zone(o) for o in origins])
+
+    @pytest.mark.parametrize("qname, origin", [
+        ("example.com", "example.com."),
+        ("www.example.com", "example.com."),
+        ("WWW.Example.COM", "example.com."),
+        ("sub.example.com", "sub.example.com."),
+        ("a.b.sub.example.com", "sub.example.com."),
+        ("x.deep.sub.example.com", "deep.sub.example.com."),
+        ("subx.example.com", "example.com."),       # sibling label, not nested
+        ("www.example.org", "example.org."),
+        ("other.com", "other.com."),
+        ("com", None),
+        ("example.net", None),
+        (".", None),
+    ])
+    def test_nested_and_sibling_zones(self, make_host, qname, origin):
+        zone = self.server(make_host, self.ORIGINS).zone_for(
+            Name.from_text(qname))
+        assert (zone.origin.to_text() if zone else None) == origin
+
+    def test_root_zone_encloses_everything_else(self, make_host):
+        server = self.server(make_host, [".", "example.com"])
+        assert server.zone_for(Name.from_text("www.example.com")) \
+            .origin.to_text() == "example.com."
+        for qname in (".", "com", "www.example.net"):
+            assert server.zone_for(Name.from_text(qname)).origin.is_root()
+
+    def test_matches_the_scan_it_replaced(self, make_host):
+        server = self.server(make_host, self.ORIGINS + ["."])
+        for text in ["", "com", "example.com", "a.example.com",
+                     "a.sub.example.com", "deep.sub.example.com",
+                     "z.deep.sub.example.com", "example.org", "a.other.com"]:
+            name = Name.from_text(text)
+            scan = max((z for z in server.zones
+                        if name.is_subdomain_of(z.origin)),
+                       key=lambda z: len(z.origin))
+            assert server.zone_for(name) is scan
+
+
 class TestQueries:
     def test_positive_answer_authoritative(self, setup):
         _, _, ask = setup

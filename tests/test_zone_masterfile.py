@@ -92,6 +92,16 @@ class TestParseRecords:
             parse_records("$ORIGIN x.\nw 60 IN A not-an-ip\n")
         assert info.value.line == 2
 
+    def test_non_ascii_names_rejected(self):
+        with pytest.raises(ValueError, match="non-ASCII"):
+            parse_records("caf\u00e9 60 IN A 10.0.0.1\n",
+                          origin=Name.from_text("example.com"))
+        with pytest.raises(MasterFileError, match="non-ASCII"):
+            parse_records("www 60 IN CNAME caf\u00e9\n",
+                          origin=Name.from_text("example.com"))
+        with pytest.raises(ValueError, match="non-ASCII"):
+            parse_records("$ORIGIN ex\u00e4mple.com.\n")
+
     def test_class_before_ttl_order(self):
         records = parse_records("$ORIGIN x.org.\nwww IN 60 A 1.2.3.4\n")
         assert records[0].ttl == 60
