@@ -100,13 +100,16 @@ class LeaseTable:
         if length <= 0:
             raise ValueError(f"lease length must be positive: {length}")
         owner = as_name(name)
-        key = (owner, RRType(rrtype))
+        if type(rrtype) is not RRType:
+            rrtype = RRType(rrtype)
+        key = (owner, rrtype)
+        stats = self.stats
         holders = self._by_record.get(key)
         existing = None if holders is None else holders.get(cache)
         if existing is not None and existing.is_valid(now):
             existing.granted_at = now
             existing.length = length
-            self.stats.renewals += 1
+            stats.renewals += 1
             if self.length_hist is not None:
                 self.length_hist.observe(length)
             if self.load_ledger is not None:
@@ -115,7 +118,7 @@ class LeaseTable:
                 self.trace.emit("lease.renew", t=now,
                                 cache=f"{cache[0]}:{cache[1]}",
                                 name=owner.to_text(),
-                                rrtype=RRType(rrtype).name, length=length)
+                                rrtype=rrtype.name, length=length)
             return existing
         if existing is not None:
             # Present but expired: reclaim before counting capacity.
@@ -123,25 +126,26 @@ class LeaseTable:
             if not holders:
                 del self._by_record[key]
             self._active -= 1
-            self.stats.expirations += 1
+            stats.expirations += 1
             if self.trace is not None:
                 self.trace.emit("lease.expire", t=now,
                                 cache=f"{cache[0]}:{cache[1]}",
                                 name=owner.to_text(),
-                                rrtype=RRType(rrtype).name)
+                                rrtype=rrtype.name)
         if self.capacity is not None and self._active >= self.capacity:
             self.sweep(now)
             if self._active >= self.capacity:
                 return None
-        lease = Lease(cache, owner, RRType(rrtype), now, length)
+        lease = Lease(cache, owner, rrtype, now, length)
         # The holders dict is (re-)resolved only now: an emergency sweep
         # above may have deleted the record's (emptied) dict, and
         # inserting into a stale reference would leak the lease out of
         # the index while still counting it against capacity.
         self._by_record.setdefault(key, {})[cache] = lease
-        self._active += 1
-        self.stats.grants += 1
-        self.stats.peak_active = max(self.stats.peak_active, self._active)
+        active = self._active = self._active + 1
+        stats.grants += 1
+        if active > stats.peak_active:
+            stats.peak_active = active
         if self.length_hist is not None:
             self.length_hist.observe(length)
         if self.load_ledger is not None:
@@ -150,7 +154,7 @@ class LeaseTable:
             self.trace.emit("lease.grant", t=now,
                             cache=f"{cache[0]}:{cache[1]}",
                             name=owner.to_text(),
-                            rrtype=RRType(rrtype).name, length=length)
+                            rrtype=rrtype.name, length=length)
         return lease
 
     def revoke(self, cache: Endpoint, name, rrtype: RRType) -> bool:
@@ -195,8 +199,11 @@ class LeaseTable:
 
     def holders(self, name, rrtype: RRType, now: float) -> List[Lease]:
         """Valid leases on (name, rrtype) — the caches to notify."""
-        key = (as_name(name), RRType(rrtype))
-        holders = self._by_record.get(key, {})
+        if type(rrtype) is not RRType:
+            rrtype = RRType(rrtype)
+        holders = self._by_record.get((as_name(name), rrtype))
+        if not holders:
+            return []
         return [lease for lease in holders.values() if lease.is_valid(now)]
 
     def get(self, cache: Endpoint, name, rrtype: RRType) -> Optional[Lease]:

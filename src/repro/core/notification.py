@@ -93,6 +93,8 @@ class NotificationModule:
                  retry: Optional[RetryPolicy] = None,
                  tsig_key: Optional[Key] = None):
         self.socket = socket
+        #: The simulator (or live clock) driving this component.
+        self.simulator = socket.simulator
         self.table = table
         self.retry = retry or RetryPolicy(initial_timeout=1.0, max_attempts=4)
         self.stats = NotificationStats()
@@ -123,11 +125,6 @@ class NotificationModule:
             keyring.add(tsig_key)
             self._ack_verifier = Verifier(keyring)
 
-    @property
-    def simulator(self):
-        """The simulator driving this component."""
-        return self.socket.simulator
-
     # -- the detection sink -----------------------------------------------------
 
     def on_change(self, change: RecordChange) -> None:
@@ -137,22 +134,23 @@ class NotificationModule:
         each leaseholder's copy differs only in its message ID, which is
         patched into the shared template in place.
         """
-        self.stats.changes_processed += 1
+        stats = self.stats
+        stats.changes_processed += 1
         now = self.simulator.now
-        holders = self.table.holders(change.name, change.rrtype, now)
+        name, rrtype, seq = change.name, change.rrtype, change.seq
+        holders = self.table.holders(name, rrtype, now)
         if not holders:
-            self.stats.no_holders += 1
+            stats.no_holders += 1
             return
         records = change.new.to_records() if change.new is not None else []
-        template = self._encode_template(change.name, change.rrtype, records)
+        template = self._encode_template(name, rrtype, records)
         if template is None:
             return
-        if change.seq:
-            self._progress[change.seq] = _ChangeProgress(
+        if seq:
+            self._progress[seq] = _ChangeProgress(
                 change.detected_at, len(holders))
         for lease in holders:
-            self._notify(lease.cache, change.name, change.rrtype, template,
-                         change.seq)
+            self._notify(lease.cache, name, rrtype, template, seq)
 
     def _encode_template(self, name: Name, rrtype: RRType,
                          records) -> Optional[WireTemplate]:
@@ -169,13 +167,15 @@ class NotificationModule:
     def _notify(self, cache: Endpoint, name: Name, rrtype: RRType,
                 template: WireTemplate, seq: int = 0) -> None:
         msg_id = next_message_id()
+        # Read per leg: on a wall clock the fan-out loop takes time.
         sent_at = self.simulator.now
-        self.stats.notifications_sent += 1
-        self.stats.caches_notified += 1
-        self.stats.in_flight += 1
+        stats = self.stats
+        stats.notifications_sent += 1
+        stats.caches_notified += 1
+        stats.in_flight += 1
         if self.load_ledger is not None:
             self.load_ledger.record(name.to_text(), "notify", sent_at,
-                                    depth=self.stats.in_flight)
+                                    depth=stats.in_flight)
         if self.trace is not None:
             self.trace.emit("notify.send", t=sent_at, seq=seq,
                             cache=f"{cache[0]}:{cache[1]}",
@@ -212,7 +212,8 @@ class NotificationModule:
     def _on_ack(self, cache: Endpoint, name: Name, rrtype: RRType,
                 sent_at: float, payload: Optional[bytes],
                 seq: int = 0) -> None:
-        self.stats.in_flight -= 1
+        stats = self.stats
+        stats.in_flight -= 1
         if payload is None:
             self._record_failure(cache, name, rrtype, seq, "timeout")
             self.unreachable.add(cache)
@@ -222,7 +223,7 @@ class NotificationModule:
                 payload = self._ack_verifier.verify(payload,
                                                     self.simulator.now)
             except TsigError:
-                self.stats.ack_tsig_failures += 1
+                stats.ack_tsig_failures += 1
                 self._record_failure(cache, name, rrtype, seq, "tsig")
                 return
         try:
@@ -242,7 +243,7 @@ class NotificationModule:
             return
         now = self.simulator.now
         rtt = now - sent_at
-        self.stats.acks_received += 1
+        stats.acks_received += 1
         self.unreachable.discard(cache)
         self.outcomes.append(NotificationOutcome(
             cache, name, rrtype, acked=True, rtt=rtt))

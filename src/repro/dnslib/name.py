@@ -8,7 +8,7 @@ original spelling for presentation.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .enums import MAX_LABEL_LENGTH, MAX_NAME_WIRE_LENGTH
 
@@ -204,8 +204,23 @@ class Name:
 NameLike = Union[Name, str]
 
 
+#: Text spellings already parsed by :func:`as_name`, under the policy
+#: of ``wire._interned_names``: only validated names are stored, keyed
+#: by exact spelling (a :class:`Name` keeps its spelling and is
+#: immutable, so sharing one is invisible), emptied when full so text
+#: from outside the program cannot grow it.
+NAME_MEMO_CAP = 4096
+_names_by_text: Dict[str, Name] = {}
+
+
 def as_name(value: NameLike) -> Name:
     """Coerce a string or :class:`Name` into a :class:`Name`."""
     if isinstance(value, Name):
         return value
-    return Name.from_text(value)
+    name = _names_by_text.get(value)
+    if name is None:
+        name = Name.from_text(value)
+        if len(_names_by_text) >= NAME_MEMO_CAP:
+            _names_by_text.clear()
+        _names_by_text[value] = name
+    return name

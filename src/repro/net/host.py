@@ -18,6 +18,10 @@ from .timers import RetryPolicy
 #: Response callbacks receive (payload, source) or (None, None) on timeout.
 ResponseHandler = Callable[[Optional[bytes], Optional[Endpoint]], None]
 
+#: The ephemeral port range (IANA dynamic ports), both ends included.
+EPHEMERAL_FIRST = 49152
+EPHEMERAL_LAST = 65535
+
 
 class Socket:
     """A bound UDP socket with request/response matching."""
@@ -25,29 +29,30 @@ class Socket:
     def __init__(self, host: "Host", port: int):
         self.host = host
         self.port = port
+        #: The (address, port) this socket is bound to.
+        self.endpoint: Endpoint = (host.address, port)
+        #: The network carrying this socket's traffic.
+        self.network = host.network
         self._receive_handler: Optional[DatagramHandler] = None
         self._stream_handler: Optional[DatagramHandler] = None
         self._pending: Dict[Tuple[Endpoint, int], "_PendingRequest"] = {}
-        host.network.bind(self.endpoint, self._on_datagram)
-        host.network.bind_stream(self.endpoint, self._on_stream)
-
-    @property
-    def endpoint(self) -> Endpoint:
-        """The (address, port) this component is bound to."""
-        return (self.host.address, self.port)
+        self.network.bind(self.endpoint, self._on_datagram)
+        self.network.bind_stream(self.endpoint, self._on_stream)
 
     @property
     def simulator(self) -> Simulator:
         """The simulator driving this component."""
-        return self.host.network.simulator
+        return self.network.simulator
 
     def close(self) -> None:
         """Release all bindings and pending state."""
         for pending in list(self._pending.values()):
             pending.cancel()
         self._pending.clear()
-        self.host.network.unbind(self.endpoint)
-        self.host.network.unbind_stream(self.endpoint)
+        self.network.unbind(self.endpoint)
+        self.network.unbind_stream(self.endpoint)
+        if self.host._sockets.get(self.port) is self:
+            del self.host._sockets[self.port]
 
     # -- plain datagrams --------------------------------------------------------
 
@@ -57,7 +62,7 @@ class Socket:
 
     def send(self, payload: bytes, dst: Endpoint) -> None:
         """Send one datagram to ``dst``."""
-        self.host.network.send(payload, self.endpoint, dst)
+        self.network.send(payload, self.endpoint, dst)
 
     # -- request/response ---------------------------------------------------------
 
@@ -74,13 +79,12 @@ class Socket:
         transmission — attempt 2 and up are retransmissions — letting
         callers observe their retry traffic without owning the timer.
         """
-        policy = retry or RetryPolicy()
         key = (dst, match_id)
         if key in self._pending:
             raise NetworkError(f"duplicate outstanding request: {key}")
-        pending = _PendingRequest(self, payload, dst, match_id, handler, policy)
-        pending.on_attempt = on_attempt
-        self._pending[key] = pending
+        pending = self._pending[key] = _PendingRequest(
+            self, payload, dst, match_id, handler, retry or RetryPolicy(),
+            on_attempt)
         pending.send_attempt()
 
     def _on_datagram(self, payload: bytes, src: Endpoint, dst: Endpoint) -> None:
@@ -88,7 +92,7 @@ class Socket:
         # a pending request; a server-initiated query (e.g. CACHE-UPDATE)
         # that happens to reuse an ID must fall through to the handler.
         if len(payload) >= 3 and payload[2] & 0x80:
-            msg_id = int.from_bytes(payload[:2], "big")
+            msg_id = payload[0] << 8 | payload[1]
             pending = self._pending.pop((src, msg_id), None)
             if pending is not None:
                 pending.complete(payload, src)
@@ -104,7 +108,7 @@ class Socket:
 
     def send_stream(self, payload: bytes, dst: Endpoint) -> None:
         """Send one reliable-stream message to ``dst``."""
-        self.host.network.send_stream(payload, self.endpoint, dst)
+        self.network.send_stream(payload, self.endpoint, dst)
 
     def request_stream(self, payload: bytes, dst: Endpoint, match_id: int,
                        handler: ResponseHandler,
@@ -113,16 +117,15 @@ class Socket:
         key = (dst, match_id)
         if key in self._pending:
             raise NetworkError(f"duplicate outstanding request: {key}")
-        pending = _PendingRequest(
+        pending = self._pending[key] = _PendingRequest(
             self, payload, dst, match_id, handler,
-            RetryPolicy(initial_timeout=timeout, max_attempts=1))
-        pending.stream = True
-        self._pending[key] = pending
+            RetryPolicy(initial_timeout=timeout, max_attempts=1),
+            stream=True)
         pending.send_attempt()
 
     def _on_stream(self, payload: bytes, src: Endpoint, dst: Endpoint) -> None:
         if len(payload) >= 3 and payload[2] & 0x80:
-            msg_id = int.from_bytes(payload[:2], "big")
+            msg_id = payload[0] << 8 | payload[1]
             pending = self._pending.pop((src, msg_id), None)
             if pending is not None:
                 pending.complete(payload, src)
@@ -139,33 +142,36 @@ class Socket:
 class _PendingRequest:
     """Bookkeeping for one in-flight request with retransmission."""
 
+    __slots__ = ("socket", "payload", "dst", "match_id", "handler",
+                 "policy", "on_attempt", "stream", "attempt", "_timer")
+
     def __init__(self, socket: Socket, payload: bytes, dst: Endpoint,
-                 match_id: int, handler: ResponseHandler, policy: RetryPolicy):
+                 match_id: int, handler: ResponseHandler, policy: RetryPolicy,
+                 on_attempt: Optional[Callable[[int], None]] = None,
+                 stream: bool = False):
         self.socket = socket
         self.payload = payload
         self.dst = dst
         self.match_id = match_id
         self.handler = handler
         self.policy = policy
+        self.on_attempt = on_attempt
+        self.stream = stream
         self.attempt = 0
         self._timer: Optional[EventHandle] = None
-        self.retransmissions = 0
-        self.stream = False
-        self.on_attempt: Optional[Callable[[int], None]] = None
 
     def send_attempt(self) -> None:
         """Transmit (or retransmit) the request payload."""
-        self.attempt += 1
-        if self.attempt > 1:
-            self.retransmissions += 1
+        attempt = self.attempt = self.attempt + 1
         if self.on_attempt is not None:
-            self.on_attempt(self.attempt)
+            self.on_attempt(attempt)
+        socket = self.socket
         if self.stream:
-            self.socket.send_stream(self.payload, self.dst)
+            socket.send_stream(self.payload, self.dst)
         else:
-            self.socket.send(self.payload, self.dst)
-        timeout = self.policy.timeout_for(self.attempt)
-        self._timer = self.socket.simulator.schedule(timeout, self._on_timeout)
+            socket.send(self.payload, self.dst)
+        self._timer = socket.network.simulator.schedule(
+            self.policy.timeout_for(attempt), self._on_timeout)
 
     def _on_timeout(self) -> None:
         if self.attempt < self.policy.max_attempts:
@@ -193,20 +199,26 @@ class Host:
         self.network = network
         self.address = address
         self._sockets: Dict[int, Socket] = {}
-        self._ephemeral = 49152
+        self._ephemeral = EPHEMERAL_FIRST
 
     def socket(self, port: Optional[int] = None) -> Socket:
         """Bind a socket; ``port=None`` picks an ephemeral port."""
         if port is None:
-            while self.network.is_bound((self.address, self._ephemeral)):
-                self._ephemeral += 1
-                if self._ephemeral > 65535:
-                    raise NetworkError("ephemeral port space exhausted")
-            port = self._ephemeral
-            self._ephemeral += 1
+            port = self._ephemeral_port()
         sock = Socket(self, port)
         self._sockets[port] = sock
         return sock
+
+    def _ephemeral_port(self) -> int:
+        """The next free ephemeral port, scanning on from the last one
+        handed out and wrapping at the top of the range."""
+        for _ in range(EPHEMERAL_FIRST, EPHEMERAL_LAST + 1):
+            port = self._ephemeral
+            self._ephemeral = (port + 1 if port < EPHEMERAL_LAST
+                               else EPHEMERAL_FIRST)
+            if not self.network.is_bound((self.address, port)):
+                return port
+        raise NetworkError("ephemeral port space exhausted")
 
     def dns_socket(self) -> Socket:
         """The well-known DNS service socket (port 53)."""

@@ -190,48 +190,60 @@ class Network:
     # -- datagram service --------------------------------------------------------
 
     def send(self, payload: bytes, src: Endpoint, dst: Endpoint) -> None:
-        """Fire-and-forget datagram; may be lost, delayed or duplicated."""
-        if self.enforce_udp_limit and len(payload) > self.udp_payload_limit:
+        """Fire-and-forget datagram; may be lost, delayed or duplicated.
+
+        The link profile is resolved here, once, and travels with the
+        datagram: every fate, including the delivered/unreachable one
+        decided on arrival, is charged to the profile in force when the
+        datagram was sent.
+        """
+        size = len(payload)
+        if size > self.udp_payload_limit and self.enforce_udp_limit:
             raise NetworkError(
-                f"datagram of {len(payload)} bytes exceeds the "
+                f"datagram of {size} bytes exceeds the "
                 f"{self.udp_payload_limit}-byte UDP limit"
             )
-        self.stats.datagrams_sent += 1
-        self.stats.bytes_sent += len(payload)
-        self.stats.max_datagram = max(self.stats.max_datagram, len(payload))
-        profile = self._profile_for(src, dst)
+        stats = self.stats
+        stats.datagrams_sent += 1
+        stats.bytes_sent += size
+        if size > stats.max_datagram:
+            stats.max_datagram = size
+        # No pair lookup at all on a network without per-pair profiles.
+        profile = (self._profile_for(src, dst) if self._profiles
+                   else self.default_profile)
+        rng = self.rng
         copies = 1
-        if profile.duplicate_rate and self.rng.random() < profile.duplicate_rate:
+        if profile.duplicate_rate and rng.random() < profile.duplicate_rate:
             copies = 2
-            self.stats.datagrams_duplicated += 1
+            stats.datagrams_duplicated += 1
             profile.stats.duplicated += 1
             if self.trace is not None:
                 self.trace.emit("net.duplicate", src=_ep(src), dst=_ep(dst),
-                                size=len(payload))
+                                size=size)
         for copy in range(copies):
-            if profile.loss_rate and self.rng.random() < profile.loss_rate:
-                self.stats.datagrams_lost += 1
+            if profile.loss_rate and rng.random() < profile.loss_rate:
+                stats.datagrams_lost += 1
                 profile.stats.dropped += 1
                 if self.trace is not None:
                     self.trace.emit("net.drop", src=_ep(src), dst=_ep(dst),
-                                    size=len(payload))
+                                    size=size)
                 if self.capture is not None:
                     self.capture.record(self.simulator.now, "udp", src, dst,
                                         payload, "dropped", dup=copy > 0)
                 continue
-            delay = profile.latency.sample(self.rng)
             self.simulator.schedule(
-                delay, lambda p=payload, d=copy > 0: self._deliver(p, src,
-                                                                   dst, d))
+                profile.latency.sample(rng),
+                lambda dup=copy > 0: self._deliver(payload, src, dst,
+                                                   profile, dup))
 
     def _deliver(self, payload: bytes, src: Endpoint, dst: Endpoint,
-                 dup: bool = False) -> None:
+                 profile: LinkProfile, dup: bool) -> None:
         handler = self._bindings.get(dst)
         if handler is None:
             # Port unreachable: dropped like real UDP without ICMP, but
             # counted — an unreachable storm is a topology bug.
             self.stats.datagrams_unreachable += 1
-            self._profile_for(src, dst).stats.unreachable += 1
+            profile.stats.unreachable += 1
             if self.trace is not None:
                 self.trace.emit("net.unreachable", src=_ep(src),
                                 dst=_ep(dst), size=len(payload))
@@ -239,9 +251,10 @@ class Network:
                 self.capture.record(self.simulator.now, "udp", src, dst,
                                     payload, "unreachable", dup=dup)
             return
-        self.stats.datagrams_delivered += 1
-        self.stats.bytes_delivered += len(payload)
-        self._profile_for(src, dst).stats.delivered += 1
+        stats = self.stats
+        stats.datagrams_delivered += 1
+        stats.bytes_delivered += len(payload)
+        profile.stats.delivered += 1
         if self.load_ledger is not None:
             self.load_ledger.record(_ep(dst), "-", "deliver",
                                     self.simulator.now)

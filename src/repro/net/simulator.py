@@ -12,24 +12,25 @@ hash, which vary across processes): equal-timestamp events fire in
 schedule order on any machine, in any process — the property the
 sharded simulation relies on for byte-stable merges.
 
-Two queue backends implement the same (time, seq) contract:
-
-* ``"wheel"`` (default) — the hierarchical timer wheel
-  (:class:`~repro.net.timerwheel.HierarchicalTimerWheel`): O(1)
-  schedule *and* cancel, no tombstone accumulation under the
-  schedule/cancel churn of per-lease renewal timers;
-* ``"heap"`` — the classic binary heap, kept as the reference backend
-  (``tests/test_timerwheel.py`` holds the two to identical fire
-  sequences by property test).
+The queue is one binary heap of ``(time, seq, handle)`` entries, popped
+and fired inline by :meth:`Simulator.run` / :meth:`Simulator.run_until`.
+A cancelled event stays in the heap as a tombstone until it is popped
+past, and the heap is rebuilt without its tombstones as soon as they
+outnumber the live entries — so the schedule/cancel churn of retry and
+renewal timers, which are almost always cancelled, cannot grow it
+beyond about twice the live events.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
-from .timerwheel import HierarchicalTimerWheel
+#: Tombstones tolerated beyond the live count before the heap is
+#: rebuilt, so a near-empty queue is not re-heapified on every cancel.
+_COMPACT_SLACK = 64
 
 
 class EventHandle:
@@ -40,7 +41,7 @@ class EventHandle:
     events remain, the way daemon threads don't block process exit.
 
     ``seq`` is the schedule-time monotonic sequence number; the queue
-    backends order events by ``(time, seq)`` and nothing else.
+    orders events by ``(time, seq)`` and nothing else.
     """
 
     __slots__ = ("time", "seq", "daemon", "_callback", "_cancelled",
@@ -53,24 +54,32 @@ class EventHandle:
         self.daemon = daemon
         self._callback = callback
         self._cancelled = False
-        self._simulator = simulator
+        #: The owning simulator while the event is queued; None once it
+        #: has fired or been cancelled, which makes a late ``cancel()``
+        #: (a periodic timer stopped from inside its own tick) a no-op.
+        self._simulator: Optional[Simulator] = simulator
 
     def cancel(self) -> None:
         """Prevent the event from firing; cancelling twice is harmless."""
-        if not self._cancelled:
-            self._cancelled = True
-            self._callback = _noop
-            self._simulator._live_pending -= 1
-            if not self.daemon:
-                self._simulator._nondaemon_pending -= 1
+        simulator = self._simulator
+        if simulator is None:
+            return
+        self._simulator = None
+        self._cancelled = True
+        self._callback = _noop
+        simulator._live_pending -= 1
+        if not self.daemon:
+            simulator._nondaemon_pending -= 1
+        heap = simulator._heap
+        if len(heap) > 2 * simulator._live_pending + _COMPACT_SLACK:
+            # In place: a running loop holds a reference to the list.
+            heap[:] = [entry for entry in heap if not entry[2]._cancelled]
+            heapify(heap)
 
     @property
     def cancelled(self) -> bool:
         """True once cancelled."""
         return self._cancelled
-
-    def _fire(self) -> None:
-        self._callback()
 
 
 def _noop() -> None:
@@ -81,44 +90,14 @@ class SimulationError(RuntimeError):
     """Raised on simulator misuse (scheduling into the past, etc.)."""
 
 
-class _HeapQueue:
-    """The reference event queue: a binary heap of (time, seq, handle).
-
-    Cancelled events stay in the heap as tombstones until popped past.
-    """
-
-    __slots__ = ("_queue",)
-
-    def __init__(self, start_time: float):
-        self._queue: List[Tuple[float, int, EventHandle]] = []
-
-    def push(self, handle: EventHandle) -> None:
-        heapq.heappush(self._queue, (handle.time, handle.seq, handle))
-
-    def pop(self) -> Optional[EventHandle]:
-        while self._queue:
-            _time, _seq, handle = heapq.heappop(self._queue)
-            if not handle.cancelled:
-                return handle
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
-
-
 class Simulator:
-    """Event loop with virtual time in seconds and a pluggable queue."""
+    """Event loop with virtual time in seconds."""
 
-    def __init__(self, start_time: float = 0.0, queue: str = "wheel"):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        if queue == "wheel":
-            self._queue: object = HierarchicalTimerWheel(self._now)
-        elif queue == "heap":
-            self._queue = _HeapQueue(self._now)
-        else:
-            raise ValueError(f"unknown queue backend: {queue!r}")
+        #: (time, seq, handle), cancelled entries included until popped
+        #: past or compacted away by :meth:`EventHandle.cancel`.
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self.events_processed = 0
         self._nondaemon_pending = 0
@@ -146,12 +125,12 @@ class Simulator:
         """Schedule ``callback`` at absolute time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
-        handle = EventHandle(time, next(self._sequence), callback, self,
-                             daemon=daemon)
+        seq = next(self._sequence)
+        handle = EventHandle(time, seq, callback, self, daemon)
         self._live_pending += 1
         if not daemon:
             self._nondaemon_pending += 1
-        self._queue.push(handle)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], None],
@@ -159,7 +138,7 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback, daemon=daemon)
+        return self.schedule_at(self._now + delay, callback, daemon)
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at the current time, after pending same-time events."""
@@ -167,23 +146,44 @@ class Simulator:
 
     # -- execution --------------------------------------------------------------
 
+    def _fire(self, until: float, max_events: Optional[int],
+              daemons_alone: bool) -> int:
+        """Pop and fire events in (time, seq) order; returns how many.
+
+        Stops at the first live event later than ``until``, after
+        ``max_events``, when the heap is empty, or — unless
+        ``daemons_alone`` — once only daemon events are left.
+        """
+        heap = self._heap
+        fired = 0
+        while heap and (daemons_alone or self._nondaemon_pending > 0):
+            time, _seq, handle = heap[0]
+            if handle._cancelled:
+                heappop(heap)
+                continue
+            if time > until:
+                break
+            heappop(heap)
+            self._now = time
+            self.events_processed += 1
+            self._live_pending -= 1
+            if not handle.daemon:
+                self._nondaemon_pending -= 1
+            handle._simulator = None
+            handle._callback()
+            if self.load_ledger is not None:
+                self.load_ledger.record("simulator", "-", "tick", time,
+                                        depth=self._live_pending)
+            if self.observer is not None:
+                self.observer(time)
+            fired += 1
+            if max_events is not None and fired >= max_events:
+                break
+        return fired
+
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
-        handle = self._queue.pop()
-        if handle is None:
-            return False
-        self._now = handle.time
-        self.events_processed += 1
-        self._live_pending -= 1
-        if not handle.daemon:
-            self._nondaemon_pending -= 1
-        handle._fire()
-        if self.load_ledger is not None:
-            self.load_ledger.record("simulator", "-", "tick", handle.time,
-                                    depth=self._live_pending)
-        if self.observer is not None:
-            self.observer(handle.time)
-        return True
+        return self._fire(math.inf, 1, True) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until no *non-daemon* work remains (or ``max_events``).
@@ -193,33 +193,19 @@ class Simulator:
         left the run stops and leaves them queued — they would otherwise
         keep a simulation alive forever.
         """
-        fired = 0
-        while self._nondaemon_pending > 0 and self.step():
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        return fired
+        return self._fire(math.inf, max_events, False)
 
     def run_until(self, time: float) -> int:
         """Fire all events with timestamp <= ``time``, then advance to it."""
         if time < self._now:
             raise SimulationError(f"cannot run backwards to {time}")
-        fired = 0
-        while True:
-            next_time = self._queue.peek_time()
-            if next_time is None or next_time > time:
-                break
-            if self.step():
-                fired += 1
-        self._now = max(self._now, time)
+        fired = self._fire(time, None, True)
+        self._now = time
         return fired
 
     def run_for(self, duration: float) -> int:
         """Advance virtual time by ``duration``, firing due events."""
         return self.run_until(self._now + duration)
-
-    def _peek_time(self) -> Optional[float]:
-        return self._queue.peek_time()
 
     @property
     def pending(self) -> int:
@@ -227,7 +213,7 @@ class Simulator:
 
         O(1): a live-event counter maintained on schedule/cancel/fire,
         not a scan of the queue (cancelled entries may linger there
-        until popped past).
+        until popped past or compacted).
         """
         return self._live_pending
 

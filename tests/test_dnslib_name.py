@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dnslib import Name, NameError_, as_name
+from repro.dnslib import name as name_module
 
 
 class TestConstruction:
@@ -55,6 +56,29 @@ class TestConstruction:
 
     def test_as_name_from_string(self):
         assert as_name("a.b") == Name.from_text("a.b")
+
+    def test_as_name_memo_keeps_spelling_apart(self):
+        lower, mixed = as_name("memo.example.com"), as_name("Memo.Example.COM")
+        assert as_name("memo.example.com") is lower
+        assert lower == mixed and lower is not mixed
+        assert mixed.to_text() == "Memo.Example.COM."
+        assert as_name("memo.example.com.") == lower
+
+    def test_as_name_memo_is_capped(self):
+        peak = 0
+        for i in range(3 * name_module.NAME_MEMO_CAP):
+            as_name(f"h{i}.flood.test")
+            peak = max(peak, len(name_module._names_by_text))
+        assert peak <= name_module.NAME_MEMO_CAP
+        # Still a working memo afterwards.
+        assert as_name("after.flood.test") is as_name("after.flood.test")
+
+    def test_as_name_never_memoises_invalid_text(self):
+        for text in ("a..b", "x" * 64 + ".test", "caf\u00e9.test"):
+            for _ in range(2):
+                with pytest.raises(NameError_):
+                    as_name(text)
+            assert text not in name_module._names_by_text
 
 
 class TestCaseInsensitivity:

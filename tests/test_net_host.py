@@ -18,6 +18,41 @@ class TestSockets:
         assert a.port != b.port
         assert a.port >= 49152
 
+    def test_ephemeral_ports_wrap_inside_the_range(self, pair):
+        host, _ = pair
+        first = host.socket()
+        host._ephemeral = 65535
+        ports = [host.socket().port for _ in range(3)]
+        # 65535, then back to the bottom, skipping the port still bound.
+        assert ports == [65535, first.port + 1, first.port + 2]
+        assert first.port == 49152
+
+    def test_ephemeral_exhaustion_raises_and_close_frees_a_port(self, pair):
+        host, _ = pair
+        sockets = [host.socket() for _ in range(49152, 65536)]
+        assert {sock.port for sock in sockets} == set(range(49152, 65536))
+        with pytest.raises(NetworkError):
+            host.socket()
+        sockets[1000].close()
+        assert host.socket().port == sockets[1000].port
+
+    def test_closed_sockets_leave_the_host_table(self, pair):
+        host, _ = pair
+        keep = host.socket(1234)
+        for _ in range(50):
+            host.socket().close()
+        assert repr(host) == "Host('10.0.0.1', sockets=[1234])"
+        # A port re-bound after close belongs to the new socket: closing
+        # the stale one again must not evict it.
+        stale = host.socket(2000)
+        stale.close()
+        fresh = host.socket(2000)
+        stale.close()
+        assert repr(host) == "Host('10.0.0.1', sockets=[1234, 2000])"
+        fresh.close()
+        keep.close()
+        assert repr(host) == "Host('10.0.0.1', sockets=[])"
+
     def test_dns_socket_is_53(self, pair):
         host, _ = pair
         assert host.dns_socket().port == 53

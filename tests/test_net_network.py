@@ -112,6 +112,25 @@ class TestLossAndDuplication:
         assert len(to_c) == 30
         assert len(to_b) < 5
 
+    def test_fate_charged_to_profile_in_force_at_send(self, simulator):
+        network = Network(simulator, seed=6)
+        at_send = LinkProfile()
+        network.set_link_profile("a", "b", at_send)
+        network.set_link_profile("a", "nobody", at_send)
+        received, handler = collector()
+        network.bind(("b", 1), handler)
+        network.send(b"x", ("a", 1), ("b", 1))
+        network.send(b"x", ("a", 1), ("nobody", 1))
+        # The links change while both datagrams are in flight.
+        later = LinkProfile()
+        network.set_link_profile("a", "b", later)
+        network.set_link_profile("a", "nobody", later)
+        simulator.run()
+        assert len(received) == 1
+        assert (at_send.stats.delivered, at_send.stats.unreachable) == (1, 1)
+        assert (later.stats.delivered, later.stats.unreachable) == (0, 0)
+        assert network.default_profile.stats.delivered == 0
+
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
             LinkProfile(loss_rate=1.5)
