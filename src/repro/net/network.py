@@ -158,10 +158,6 @@ class Network:
         #: :meth:`repro.obs.Observability.observe_network`.
         self.trace = None
         self.capture = None
-        #: Load-attribution hook: a :class:`repro.obs.load.LoadLedger`
-        #: attributing delivered datagrams to their destination
-        #: endpoint (deliver-class transport load, PROTOCOL §9.5).
-        self.load_ledger = None
 
     # -- topology ------------------------------------------------------------
 
@@ -255,9 +251,6 @@ class Network:
         stats.datagrams_delivered += 1
         stats.bytes_delivered += len(payload)
         profile.stats.delivered += 1
-        if self.load_ledger is not None:
-            self.load_ledger.record(_ep(dst), "-", "deliver",
-                                    self.simulator.now)
         if self.trace is not None:
             self.trace.emit("net.deliver", src=_ep(src), dst=_ep(dst),
                             size=len(payload))

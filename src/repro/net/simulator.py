@@ -106,12 +106,6 @@ class Simulator:
         #: fired event.  None (the default) costs one comparison per
         #: step; set by :meth:`repro.obs.Observability.observe_simulator`.
         self.observer: Optional[Callable[[float], None]] = None
-        #: Load-attribution hook: a :class:`repro.obs.load.LoadLedger`
-        #: sampling event-loop pressure — each fired event is
-        #: tick-class load with the live pending count as the depth
-        #: sample (PROTOCOL §9.5).  None by default, one pointer check
-        #: per step when off.
-        self.load_ledger = None
 
     @property
     def now(self) -> float:
@@ -171,9 +165,6 @@ class Simulator:
                 self._nondaemon_pending -= 1
             handle._simulator = None
             handle._callback()
-            if self.load_ledger is not None:
-                self.load_ledger.record("simulator", "-", "tick", time,
-                                        depth=self._live_pending)
             if self.observer is not None:
                 self.observer(time)
             fired += 1

@@ -59,8 +59,6 @@ from .load import (
     DecayedRate,
     LoadLedger,
     LoadRecorder,
-    P2Quantile,
-    QuantileSketch,
     StormDetector,
     StormEpisode,
 )
@@ -136,7 +134,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "Registry", "bucket_quantile",
     "LATENCY_BUCKETS", "LEASE_BUCKETS",
     "LoadLedger", "LoadRecorder", "StormDetector", "StormEpisode",
-    "DecayedRate", "P2Quantile", "QuantileSketch",
+    "DecayedRate",
     "WireCapture", "load_capture", "sniff_header",
     "FATE_DELIVERED", "FATE_DROPPED", "FATE_UNREACHABLE",
     "summarize_events", "consistency_windows", "flatten_summary",

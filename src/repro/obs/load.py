@@ -11,13 +11,16 @@ message-class)`` key, maintaining
   slow baseline (default 600 s); a rate is the decayed event mass
   divided by the window, so it tracks the *recent* arrival rate without
   storing any per-event state;
-* **fixed-memory streaming quantile sketches** — P² (Jain & Chlamtac
-  1985) marker sketches, five floats per tracked quantile, over the
-  per-server inter-arrival gaps, the in-flight notification depth, and
-  the per-arrival instantaneous rate.  Memory is O(servers + keys) and
-  the key space itself is bounded by ``domain_cap`` (overflow domains
-  fold into ``~other``), so a million-holder storm costs the same
-  memory as a quiet afternoon;
+* **fixed-memory log-bucket tails** — one
+  :class:`~repro.obs.metrics.Histogram` over the geometric
+  :data:`TAIL_BOUNDS` each for the per-server inter-arrival gaps, the
+  in-flight notification depth, and the per-arrival instantaneous
+  rate: one C ``bisect`` per observation, every quantile within one
+  bucket (≤ 9.05 % relative) of the nearest-rank order statistic, and
+  exactly mergeable.  Memory is O(servers + keys) and the key space
+  itself is bounded by ``domain_cap`` (overflow domains fold into
+  ``~other``), so a million-holder storm costs the same memory as a
+  quiet afternoon;
 * a :class:`StormDetector` that compares each server's fast window
   against its decayed baseline and opens a :class:`StormEpisode` when
   the burst ratio and an absolute rate floor are both exceeded —
@@ -30,9 +33,9 @@ repo: the protocol modules hold ``load_ledger = None`` and guard every
 ``load_ledger.record(...)`` with a plain ``is not None`` check (enforced
 statically by ``repro-lint`` rule DCUP005).  There are two feeds:
 
-* **direct hooks** — ``core/{lease,notification,renegotiation}`` and
-  ``net/{network,simulator}`` call :meth:`LoadLedger.record` (or a
-  per-server :class:`LoadRecorder` facet) with precise attribution;
+* **direct hooks** — ``core/{lease,notification,renegotiation}`` call
+  :meth:`LoadLedger.record` (or a per-server :class:`LoadRecorder`
+  facet) with precise attribution;
   :class:`repro.core.middleware.DNScup` wires them when its
   :class:`~repro.obs.wiring.Observability` bundle carries a ledger;
 * **a trace tap** — :meth:`LoadLedger.on_event` maps protocol trace
@@ -46,21 +49,20 @@ Metric and event names are part of the PROTOCOL.md §9.5 contract.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from .metrics import Registry
+from .metrics import Histogram, Registry
 from .trace import (LEASE_GRANT, LEASE_RENEW, LOAD_STORM_END,
                     LOAD_STORM_START, NET_DELIVER, NOTIFY_RETRANSMIT,
                     NOTIFY_SEND, RENEGO_SEND, TraceBus, TraceEvent)
 
 __all__ = [
     "CLASS_DELIVER", "CLASS_NOTIFY", "CLASS_QUERY", "CLASS_RENEWAL",
-    "CLASS_RETRANSMIT", "CLASS_TICK", "DecayedRate", "LoadKey",
-    "LoadLedger", "LoadRecorder", "OVERFLOW_DOMAIN", "P2Quantile",
-    "QuantileSketch", "StormDetector", "StormEpisode",
+    "CLASS_RETRANSMIT", "DecayedRate", "LoadKey", "LoadLedger",
+    "LoadRecorder", "OVERFLOW_DOMAIN", "StormDetector", "StormEpisode",
+    "TAIL_BOUNDS",
 ]
 
 # -- message classes (the third attribution axis) -----------------------------
@@ -75,20 +77,27 @@ CLASS_NOTIFY = "notify"
 CLASS_RETRANSMIT = "retransmit"
 #: A datagram delivered by the transport (per destination endpoint).
 CLASS_DELIVER = "deliver"
-#: A fired simulator event (event-loop pressure; no domain).
-CLASS_TICK = "tick"
 
 #: Domains beyond ``domain_cap`` fold into this key (fixed memory).
 OVERFLOW_DOMAIN = "~other"
 
-#: Placeholder domain for classes that have none (transport, ticks).
+#: Placeholder domain for classes that have none (transport).
 NO_DOMAIN = "-"
 
 #: One attribution key: (server, domain, message class).
 LoadKey = Tuple[str, str, str]
 
-#: The quantiles every sketch tracks, percent scale.
-SKETCH_QUANTILES = (50.0, 95.0, 99.0)
+#: Inclusive upper bounds shared by every per-server tail: an exact
+#: ``0.0`` bucket (tie-heavy gap streams are mostly zeros), then ratio
+#: 2^(1/8) ≈ 9.05 % from 2^-30 to 2^30.  A quantile estimate and the
+#: nearest-rank order statistic it stands for share a bucket, so they
+#: differ by at most that ratio; beyond either end the estimate is
+#: clamped to the observed min/max.
+TAIL_BOUNDS: Tuple[float, ...] = (
+    0.0, *(2.0 ** (eighth / 8.0) for eighth in range(-240, 241)))
+
+#: The quantiles a tail summary reports, percent scale.
+TAIL_QUANTILES = (50.0, 95.0, 99.0)
 
 
 class DecayedRate:
@@ -131,134 +140,16 @@ class DecayedRate:
         return self.mass / self.tau
 
 
-class P2Quantile:
-    """The P² streaming quantile estimator (Jain & Chlamtac 1985).
-
-    Five markers — heights, actual positions, desired positions —
-    estimate one quantile of an unbounded stream in O(1) memory and
-    O(1) per observation, adjusting the middle markers with a piecewise
-    parabolic (hence P²) interpolation.  Until five observations have
-    arrived the estimate is the linear interpolation of the sorted
-    buffer.  Deterministic: same observation sequence, same estimate.
-    """
-
-    __slots__ = ("p", "heights", "positions", "desired", "count")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1): {p}")
-        self.p = p
-        self.heights: List[float] = []
-        self.positions: List[float] = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.desired: List[float] = [
-            1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the sketch."""
-        self.count += 1
-        if self.count <= 5:
-            bisect.insort(self.heights, value)
-            return
-        heights, positions, desired = self.heights, self.positions, self.desired
-        # Locate the cell, extending the extreme markers when needed.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        increments = (0.0, self.p / 2.0, self.p, (1.0 + self.p) / 2.0, 1.0)
-        for index in range(5):
-            desired[index] += increments[index]
-        # Adjust the three interior markers toward their desired ranks.
-        for index in range(1, 4):
-            drift = desired[index] - positions[index]
-            ahead = positions[index + 1] - positions[index]
-            behind = positions[index - 1] - positions[index]
-            if (drift >= 1.0 and ahead > 1.0) or (drift <= -1.0
-                                                  and behind < -1.0):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-        self.heights = heights
-
-    def _parabolic(self, index: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        return h[index] + step / (n[index + 1] - n[index - 1]) * (
-            (n[index] - n[index - 1] + step)
-            * (h[index + 1] - h[index]) / (n[index + 1] - n[index])
-            + (n[index + 1] - n[index] - step)
-            * (h[index] - h[index - 1]) / (n[index] - n[index - 1]))
-
-    def _linear(self, index: int, step: float) -> float:
-        h, n = self.heights, self.positions
-        other = index + int(step)
-        return h[index] + step * (h[other] - h[index]) / (n[other] - n[index])
-
-    def value(self) -> Optional[float]:
-        """The current estimate, or None before any observation."""
-        if not self.count:
-            return None
-        if self.count <= 5:
-            rank = self.p * (len(self.heights) - 1)
-            low = int(math.floor(rank))
-            high = min(low + 1, len(self.heights) - 1)
-            return (self.heights[low]
-                    + (rank - low) * (self.heights[high] - self.heights[low]))
-        return self.heights[2]
-
-
-class QuantileSketch:
-    """A bundle of :class:`P2Quantile` markers plus count/min/max.
-
-    Fixed memory: five floats per tracked quantile, regardless of how
-    many observations stream through.
-    """
-
-    __slots__ = ("count", "min", "max", "_markers")
-
-    def __init__(self,
-                 quantiles: Tuple[float, ...] = SKETCH_QUANTILES) -> None:
-        self.count = 0
-        self.min = math.inf
-        self.max = -math.inf
-        self._markers: Dict[float, P2Quantile] = {
-            q: P2Quantile(q / 100.0) for q in quantiles}
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into every marker set."""
-        self.count += 1
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for marker in self._markers.values():
-            marker.observe(value)
-
-    def quantile(self, quantile: float) -> Optional[float]:
-        """The estimate for a tracked quantile (percent scale)."""
-        return self._markers[quantile].value()
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        """``{"count": ..., "min": ..., "max": ..., "p50": ...}``."""
-        summary: Dict[str, Optional[float]] = {
-            "count": float(self.count),
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-        for q in sorted(self._markers):
-            summary[f"p{q:g}"] = self._markers[q].value()
-        return summary
+def _tail_summary(tail: Histogram) -> Dict[str, Optional[float]]:
+    """``{"count": ..., "min": ..., "max": ..., "p50": ...}`` of a tail."""
+    summary: Dict[str, Optional[float]] = {
+        "count": float(tail.count),
+        "min": tail.min if tail.count else None,
+        "max": tail.max if tail.count else None,
+    }
+    for quantile in TAIL_QUANTILES:
+        summary[f"p{quantile:g}"] = tail.quantile(quantile)
+    return summary
 
 
 @dataclasses.dataclass
@@ -381,11 +272,12 @@ class _KeyLoad:
     def record(self, t: float) -> None:
         self.count += 1
         self.rate.add(t)
-        self.last = t
+        if t > self.last:
+            self.last = t
 
 
 class _ServerLoad:
-    """Per-server aggregate: windows, sketches, class tallies."""
+    """Per-server aggregate: windows, log-bucket tails, class tallies."""
 
     __slots__ = ("count", "classes", "fast", "slow", "last", "gap_sketch",
                  "depth_sketch", "rate_sketch", "peak_rate")
@@ -396,19 +288,28 @@ class _ServerLoad:
         self.fast = DecayedRate(window)
         self.slow = DecayedRate(baseline)
         self.last = -math.inf
-        self.gap_sketch = QuantileSketch()
-        self.depth_sketch = QuantileSketch()
-        self.rate_sketch = QuantileSketch()
+        self.gap_sketch: Histogram = Histogram("load.gap", TAIL_BOUNDS)
+        self.depth_sketch: Histogram = Histogram("load.depth", TAIL_BOUNDS)
+        self.rate_sketch: Histogram = Histogram("load.rate", TAIL_BOUNDS)
         self.peak_rate = 0.0
+
+    def sketch(self, name: str) -> Histogram:
+        """The ``rate``, ``gap`` or ``depth`` tail."""
+        return {"rate": self.rate_sketch, "gap": self.gap_sketch,
+                "depth": self.depth_sketch}[name]
 
     def record(self, message_class: str, t: float,
                depth: Optional[float]) -> Tuple[float, float]:
         """Fold one arrival; returns (fast rate, slow rate) at ``t``."""
         self.count += 1
         self.classes[message_class] = self.classes.get(message_class, 0) + 1
-        if self.last != -math.inf and t >= self.last:
-            self.gap_sketch.observe(t - self.last)
-        self.last = t
+        if t >= self.last:
+            # ``last`` is monotone, like DecayedRate: an out-of-order
+            # arrival (tap feed over a merged trace, wall clock) records
+            # no gap and must not inflate the next in-order one.
+            if self.last != -math.inf:
+                self.gap_sketch.observe(t - self.last)
+            self.last = t
         fast = self.fast.add(t)
         slow = self.slow.add(t)
         self.rate_sketch.observe(fast)
@@ -558,13 +459,12 @@ class LoadLedger:
 
     def server_quantile(self, server: str, quantile: float,
                         sketch: str = "rate") -> Optional[float]:
-        """A server sketch quantile: ``rate``, ``gap``, or ``depth``."""
+        """A server tail quantile (any percent in [0, 100]): ``rate``,
+        ``gap``, or ``depth``."""
         load = self.servers.get(server)
         if load is None:
             return None
-        sketches = {"rate": load.rate_sketch, "gap": load.gap_sketch,
-                    "depth": load.depth_sketch}
-        return sketches[sketch].quantile(quantile)
+        return load.sketch(sketch).quantile(quantile)
 
     def top(self, n: int = 10) -> List[Dict[str, object]]:
         """The ``n`` hottest keys by total count (ties: key order)."""
@@ -586,9 +486,9 @@ class LoadLedger:
                 "rate": load.fast.rate(self.last),
                 "baseline": load.slow.rate(self.last),
                 "peak_rate": load.peak_rate,
-                "gap": load.gap_sketch.as_dict(),
-                "depth": load.depth_sketch.as_dict(),
-                "rate_quantiles": load.rate_sketch.as_dict(),
+                "gap": _tail_summary(load.gap_sketch),
+                "depth": _tail_summary(load.depth_sketch),
+                "rate_quantiles": _tail_summary(load.rate_sketch),
             }
         return {
             "total": self.total,
@@ -619,10 +519,7 @@ class LoadLedger:
                             ) -> float:
             best = 0.0
             for server in self.servers.values():
-                sketches = {"rate": server.rate_sketch,
-                            "gap": server.gap_sketch,
-                            "depth": server.depth_sketch}
-                value = sketches[sketch_name].quantile(quantile)
+                value = server.sketch(sketch_name).quantile(quantile)
                 if value is not None and value > best:
                     best = value
             return best

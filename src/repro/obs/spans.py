@@ -218,6 +218,15 @@ def _as_seq(fields: Dict[str, object]) -> int:
     return int(value) if value is not None else 0
 
 
+def _leg_key(seq: int, cache: str, name: object,
+             rrtype: object) -> Tuple[object, ...]:
+    """A notification leg's matching identity: tracked legs match on
+    (seq, cache), untracked (seq 0) legs on (cache, name, rrtype).
+    Shared with the streaming auditor, which must pair events with
+    legs exactly as :func:`build_spans` does."""
+    return (seq, cache) if seq else (0, cache, name, rrtype)
+
+
 def _closed(span: Optional[ChangeSpan]) -> bool:
     """True once ``span`` settled with every leg resolved.
 
@@ -253,22 +262,17 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
             changes.append(span)
         return span
 
-    # Unresolved legs indexed by their matching identity, in send order:
-    # tracked legs match on (seq, cache), untracked (seq 0) legs on
-    # (cache, name, rrtype).  Resolved legs are discarded lazily from
-    # the front, so matching stays the oldest-unresolved-first scan of
-    # the naive implementation at amortized O(1) per event — a 10^5-leg
-    # fan-out (the renewal-storm bench) would otherwise audit in O(n²).
+    # Unresolved legs indexed by their matching identity (_leg_key), in
+    # send order.  Resolved legs are discarded lazily from the front,
+    # so matching stays the oldest-unresolved-first scan of the naive
+    # implementation at amortized O(1) per event — a 10^5-leg fan-out
+    # (the renewal-storm bench) would otherwise audit in O(n²).
     pending: Dict[Tuple[object, ...], Deque[NotificationLeg]] = {}
-
-    def leg_key(seq: int, cache: str, name: Optional[str],
-                rrtype: Optional[str]) -> Tuple[object, ...]:
-        return (seq, cache) if seq else (0, cache, name, rrtype)
 
     def open_leg(seq: int, cache: str, name: Optional[str],
                  rrtype: Optional[str]) -> Optional[NotificationLeg]:
         """The oldest unresolved leg this event can belong to."""
-        queue = pending.get(leg_key(seq, cache, name, rrtype))
+        queue = pending.get(_leg_key(seq, cache, name, rrtype))
         if queue is None:
             return None
         while queue and queue[0].resolved:
@@ -310,7 +314,7 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
             else:
                 untracked.append(leg)
             pending.setdefault(
-                leg_key(seq, leg.cache, leg.name, leg.rrtype),
+                _leg_key(seq, leg.cache, leg.name, leg.rrtype),
                 collections.deque()).append(leg)
         elif event == NOTIFY_RETRANSMIT:
             leg = open_leg(_as_seq(fields), str(fields.get("cache")),

@@ -83,7 +83,7 @@ from .audit import (
     untracked_unresolved_violation,
 )
 from .metrics import Histogram
-from .spans import _as_seq
+from .spans import _as_seq, _leg_key
 from .trace import (
     CHANGE_DETECTED,
     CHANGE_SETTLED,
@@ -101,7 +101,7 @@ from .trace import (
 _LeaseKey = Tuple[str, str, str]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class _Leg:
     """One in-flight notification leg (forgotten once resolved)."""
 
@@ -138,8 +138,9 @@ class _Change:
     detected_t: Optional[float] = None
     name: object = None
     rrtype: object = None
-    #: Unresolved legs in send order (resolved legs are dropped).
-    unresolved: List[_Leg] = dataclasses.field(default_factory=list)
+    #: send_index -> unresolved leg, in send order (resolved legs are
+    #: dropped).
+    unresolved: Dict[int, _Leg] = dataclasses.field(default_factory=dict)
     #: send_index of every leg, resolved or not (for the never-settled
     #: evidence tuple); emptied at retirement.
     send_indices: List[int] = dataclasses.field(default_factory=list)
@@ -226,7 +227,12 @@ class IncrementalAuditor:
         self._changes: Dict[int, _Change] = {}
         self._open_changes = 0
         self._leases: Dict[_LeaseKey, _Lease] = {}
-        self._untracked: List[_Leg] = []
+        #: send_index -> unresolved untracked (seq 0) leg, in send order.
+        self._untracked: Dict[int, _Leg] = {}
+        # Every unresolved leg again, by matching identity (_leg_key,
+        # as in build_spans), oldest first: pairing an ack, retransmit
+        # or timeout with its leg is O(1), not a scan of the fan-out.
+        self._open_legs: Dict[Tuple[object, ...], Deque[_Leg]] = {}
         # Budget replay state (mirrors _audit_budgets exactly, with the
         # renewal sliding window as a real deque instead of a list that
         # only ever grows).
@@ -299,7 +305,7 @@ class IncrementalAuditor:
         pending: List[Violation] = []
         self._pending_checks = {}
         for change in self._changes.values():
-            for leg in change.unresolved:
+            for leg in change.unresolved.values():
                 pending.append(unresolved_leg_violation(
                     change.seq, leg.cache, leg.send_t, leg.send_index))
             if change.retired:
@@ -324,7 +330,7 @@ class IncrementalAuditor:
                 # counts visible so far; redo that here without
                 # retiring, so a later resolution updates the verdict.
                 pending.extend(self._settlement_violations(change))
-        for leg in self._untracked:
+        for leg in self._untracked.values():
             pending.append(untracked_unresolved_violation(
                 leg.cache, leg.send_t, leg.send_index))
         return pending
@@ -363,21 +369,26 @@ class IncrementalAuditor:
             self._open_changes += 1
         return change
 
-    def _open_leg(self, seq: int, cache: str, name: object,
-                  rrtype: object) -> Optional[_Leg]:
-        """The oldest unresolved leg this event can belong to."""
-        if seq:
-            change = self._changes.get(seq)
-            candidates = change.unresolved if change is not None else []
-        else:
-            candidates = self._untracked
-        for leg in candidates:
-            if leg.cache != cache:
-                continue
-            if seq == 0 and (leg.name != name or leg.rrtype != rrtype):
-                continue
-            return leg
-        return None
+    def _open_leg(self, fields: Dict[str, object],
+                  resolve: bool = False) -> Optional[_Leg]:
+        """The oldest unresolved leg this event can belong to;
+        ``resolve`` also forgets it (an ack or timeout closes it)."""
+        seq = _as_seq(fields)
+        key = _leg_key(seq, str(fields.get("cache")), fields.get("name"),
+                       fields.get("rrtype"))
+        queue = self._open_legs.get(key)
+        if queue is None:
+            return None
+        leg = queue[0]
+        if resolve:
+            queue.popleft()
+            if not queue:
+                del self._open_legs[key]
+            if seq:
+                del self._changes[seq].unresolved[leg.send_index]
+            else:
+                del self._untracked[leg.send_index]
+        return leg
 
     # -- change-span events --------------------------------------------------
 
@@ -441,10 +452,13 @@ class IncrementalAuditor:
                    send_index=index, send_t=t)
         self._check(TERMINATION)
         self._check(CAUSALITY)
+        self._open_legs.setdefault(
+            _leg_key(seq, leg.cache, leg.name, leg.rrtype),
+            collections.deque()).append(leg)
         if change is None:
-            self._untracked.append(leg)
+            self._untracked[index] = leg
             return
-        change.unresolved.append(leg)
+        change.unresolved[index] = leg
         change.send_indices.append(index)
         if change.pre_detect_caches is not None:
             change.pre_detect_caches.add(leg.cache)
@@ -453,9 +467,7 @@ class IncrementalAuditor:
 
     def _on_retransmit(self, index: int, t: float,
                        fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
-        leg = self._open_leg(seq, str(fields.get("cache")),
-                             fields.get("name"), fields.get("rrtype"))
+        leg = self._open_leg(fields)
         if leg is None:
             self._orphan(index, "retransmit without outstanding send")
             return
@@ -469,9 +481,7 @@ class IncrementalAuditor:
 
     def _on_ack(self, index: int, t: float,
                 fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
-        leg = self._open_leg(seq, str(fields.get("cache")),
-                             fields.get("name"), fields.get("rrtype"))
+        leg = self._open_leg(fields, resolve=True)
         if leg is None:
             self._orphan(index, "ack without outstanding send")
             return
@@ -490,10 +500,8 @@ class IncrementalAuditor:
         if not leg.seq:
             # Untracked legs audit causality with default limits: no
             # staleness bound applies (matching _audit_untracked).
-            self._untracked.remove(leg)
             return
         change = self._changes[leg.seq]
-        change.unresolved.remove(leg)
         change.acked += 1
         if change.ack_max is None or t > change.ack_max:
             change.ack_max = t
@@ -516,9 +524,7 @@ class IncrementalAuditor:
 
     def _on_timeout(self, index: int, t: float,
                     fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
-        leg = self._open_leg(seq, str(fields.get("cache")),
-                             fields.get("name"), fields.get("rrtype"))
+        leg = self._open_leg(fields, resolve=True)
         if leg is None:
             self._orphan(index, "timeout without outstanding send")
             return
@@ -526,10 +532,8 @@ class IncrementalAuditor:
             self._permanent.append(timeout_before_send_violation(
                 leg.seq, leg.cache, t, leg.send_index, index))
         if not leg.seq:
-            self._untracked.remove(leg)
             return
         change = self._changes[leg.seq]
-        change.unresolved.remove(leg)
         change.failed += 1
         if change.settled_index is not None:
             self._permanent.append(resolved_after_settled_violation(

@@ -504,7 +504,7 @@ def _load_tables(snapshot: dict, top: List[dict]) -> str:
         sections.append(format_table(
             ("server", "events", "rate", "baseline", "peak", "rate p99",
              "gap p50", "depth p99"), server_rows,
-            title="Per-server load (decayed rates, P² sketch quantiles)"))
+            title="Per-server load (decayed rates, log-bucket quantiles)"))
     if top:
         sections.append(format_table(
             ("server", "domain", "class", "count", "rate"),

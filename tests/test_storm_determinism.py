@@ -8,6 +8,13 @@ compared with literals recorded at the commit *before* the PR 16
 transport rewrite.  The lossy/duplicating variant pins the order of the
 RNG draws in ``Network.send`` as well: one draw out of place moves
 every later latency, and with it ``simulator.now``.
+
+The observed twin arms the whole plane on the clean storm (trace bus,
+load ledger, batch audit) and pins everything the plane derives that
+the PR 17 tail-estimator swap must not move — emitted events, storm
+episodes, per-server tallies and the tails' count/min/max — against
+literals recorded at the commit before it; only the tails' p50/p95/p99
+*estimates* are free to change (``tests/test_obs_load.py`` bounds them).
 """
 
 import dataclasses
@@ -19,6 +26,7 @@ from repro.core import DNScupConfig, DynamicLeasePolicy, attach_dnscup
 from repro.dnslib import Message, RRType, make_cache_update_ack
 from repro.net import (Host, LatencyModel, LinkProfile, Network,
                        RetryPolicy, Simulator)
+from repro.obs import Observability, audit_observability
 from repro.server import AuthoritativeServer
 from repro.zone import load_zone
 
@@ -35,19 +43,27 @@ www  IN A   10.0.0.10
 """
 
 
-def run_storm(loss_rate=0.0, duplicate_rate=0.0):
-    """Grant, synchronize, change, settle; returns every counter."""
+def run_storm(loss_rate=0.0, duplicate_rate=0.0, observed=False):
+    """Grant, synchronize, change, settle; returns every counter (plus
+    what the plane saw under ``"observed"`` when it is armed)."""
     rng = random.Random(SEED)
     simulator = Simulator()
+    obs = None
+    if observed:
+        obs = Observability.for_simulator(simulator)
+        obs.enable_load()
     profile = LinkProfile(latency=LatencyModel(0.010, 0.004),
                           loss_rate=loss_rate,
                           duplicate_rate=duplicate_rate)
     network = Network(simulator, seed=SEED, default_profile=profile)
+    if obs is not None:
+        obs.observe_network(network)
     zone = load_zone(ZONE_TEXT)
     server = AuthoritativeServer(Host(network, "10.1.0.1"), [zone])
     middleware = attach_dnscup(
         server, policy=DynamicLeasePolicy(0.0),
         config=DNScupConfig(
+            observability=obs,
             notify_retry=RetryPolicy(initial_timeout=0.015, max_attempts=4),
             lease_capacity=2 * HOLDERS))
     endpoints = [(f"172.{16 + (n >> 16)}.{(n >> 8) & 255}.{n & 255}", 53)
@@ -76,7 +92,7 @@ def run_storm(loss_rate=0.0, duplicate_rate=0.0):
     simulator.run_until(660.0)
     zone.replace_address(LEASED_NAME, ["10.0.9.9"])
     simulator.run()
-    return {
+    counters = {
         "now": simulator.now,
         "events": simulator.events_processed,
         "pending": simulator.pending,
@@ -86,6 +102,36 @@ def run_storm(loss_rate=0.0, duplicate_rate=0.0):
         "lease": dataclasses.asdict(table.stats),
         # Sums every acknowledged leg's two latency draws.
         "mean_ack_rtt": middleware.notification.mean_ack_rtt(),
+    }
+    if obs is not None:
+        counters["observed"] = plane_facts(obs, simulator.now)
+    return counters
+
+
+def plane_facts(obs, now):
+    """Everything the plane derived, minus the tails' quantile estimates."""
+    ledger = obs.load
+    ledger.detector.close_open(now)
+    report = audit_observability(obs)
+    snapshot = ledger.snapshot()
+    servers = {}
+    for server, load in snapshot["servers"].items():
+        servers[server] = {
+            "count": load["count"], "classes": load["classes"],
+            "peak_rate": load["peak_rate"],
+            "tails": {tail: {key: load[tail][key]
+                             for key in ("count", "min", "max")}
+                      for tail in ("gap", "depth", "rate_quantiles")},
+        }
+    return {
+        "emitted": obs.trace.emitted,
+        "dropped": obs.trace.dropped,
+        "counts": obs.trace.counts(),
+        "episodes": snapshot["storms"]["episodes"],
+        "total": ledger.total,
+        "servers": servers,
+        "checks": sum(report.checks.values()),
+        "violations": len(report.violations),
     }
 
 
@@ -134,3 +180,46 @@ LOSSY = expected(
 ])
 def test_storm_counters_match_parent_commit(kwargs, want):
     assert run_storm(**kwargs) == want
+
+
+SERVER = "10.1.0.1:53"
+
+#: What the armed plane derived from the clean storm at the parent of
+#: PR 17 (P² tails): everything here is estimator-independent.
+OBSERVED = {
+    "emitted": 4506,
+    "dropped": 0,
+    "counts": {"change.detected": 1, "change.settled": 1,
+               "lease.grant": 500, "lease.renew": 500,
+               "load.storm.end": 2, "load.storm.start": 2,
+               "net.deliver": 2000, "notify.ack": 500,
+               "notify.retransmit": 500, "notify.send": 500},
+    "episodes": [
+        {"server": SERVER, "start": 600.0, "end": 660.0,
+         "baseline": 1.2300918128077831, "peak_rate": 50.000000000000135,
+         "events": 2},
+        {"server": SERVER, "start": 660.0, "end": 660.042794838337,
+         "baseline": 1.9446997665148342, "peak_rate": 100.0488080636658,
+         "events": 502}],
+    "total": 2000,
+    "servers": {SERVER: {
+        "count": 2000,
+        "classes": {"notify": 500, "query": 500, "renewal": 500,
+                    "retransmit": 500},
+        "peak_rate": 100.0488080636658,
+        "tails": {
+            "gap": {"count": 1999.0, "min": 0.0, "max": 303.0},
+            "depth": {"count": 1000.0, "min": 1, "max": 500},
+            "rate_quantiles": {"count": 2000.0, "min": 0.1,
+                               "max": 100.0488080636658}},
+    }},
+    "checks": 1501,
+    "violations": 0,
+}
+
+
+def test_observed_storm_matches_parent_commit():
+    got = run_storm(observed=True)
+    assert got.pop("observed") == OBSERVED
+    # The plane only observes: the protocol counters are the bare run's.
+    assert got == CLEAN
