@@ -1,16 +1,12 @@
-"""Streaming audit: batch-equivalent verdicts with bounded memory.
+"""The auditor's memory bound on three established benches.
 
-Replays the traces of three established benches — the §5.2 Figure 7
-testbed, the flash-crowd redirect, and the UDP-loss ablation — through
-the :class:`~repro.obs.IncrementalAuditor` one event at a time, and
-holds the streaming plane to its two commitments:
-
-* **bit-for-bit equivalence** — the streamed violation list (order,
-  kinds, messages) and the check counts must equal what the batch
-  :func:`~repro.obs.audit_trace` computes over the complete trace;
-* **bounded memory** — the peak number of tracked spans (live leases +
-  unretired changes) must stay under the committed per-scenario caps
-  below, all far beneath the event counts a batch audit holds.
+Replays the traces of the §5.2 Figure 7 testbed, the flash-crowd
+redirect, and the UDP-loss ablation through the
+:class:`~repro.obs.IncrementalAuditor` one event at a time — as the
+live tap and ``repro-obs tail`` deliver them — and holds it to its
+memory bound: the peak number of tracked spans (live leases +
+unretired changes) must stay under the committed per-scenario caps
+below, all far beneath the event counts, on runs that audit clean.
 
 Peak-span caps are ceilings observed with headroom, not targets: the
 fig7 run peaks at ~81 spans over ~640 events, the flash crowd at a
@@ -19,7 +15,7 @@ handful, the loss ablation at ~the grant count.
 
 from __future__ import annotations
 
-from repro.obs import AuditLimits, IncrementalAuditor, audit_trace
+from repro.obs import AuditLimits, IncrementalAuditor
 from repro.sim import Testbed, TestbedConfig, run_figure7_scenario
 
 from benchmarks.bench_abl_udp_loss import CHANGES, run_loss_level
@@ -59,25 +55,16 @@ SCENARIOS = {
 }
 
 
-def violation_key(violation):
-    return (violation.kind, repr(violation.seq), repr(violation.t),
-            tuple(violation.events), violation.message)
-
-
 def stream_scenario(name):
-    """Stream one scenario's trace; returns the comparison record."""
+    """Stream one scenario's trace; returns its record."""
     events, limits = SCENARIOS[name]()
     auditor = IncrementalAuditor(limits=limits)
     for event in events:
         auditor.feed(event)
-    stream = auditor.report()
-    batch = audit_trace(events, limits=limits)
     return {
         "scenario": name,
         "events": len(events),
-        "stream": stream,
-        "batch": batch,
-        "peak_tracked_spans": auditor.peak_tracked_spans,
+        "stream": auditor.report(),
         "peak_cap": PEAK_CAPS[name],
     }
 
@@ -85,30 +72,23 @@ def stream_scenario(name):
 def check_record(record):
     """Failure messages for one scenario record (empty = pass)."""
     failures = []
-    stream, batch = record["stream"], record["batch"]
-    if [violation_key(v) for v in stream.violations] \
-            != [violation_key(v) for v in batch.violations]:
-        failures.append(f"{record['scenario']}: streamed violations "
-                        f"diverge from the batch audit")
-    if stream.checks != batch.checks:
-        failures.append(f"{record['scenario']}: streamed check counts "
-                        f"diverge from the batch audit")
-    if stream.ok != batch.ok:
-        failures.append(f"{record['scenario']}: streamed verdict "
-                        f"{stream.ok} != batch {batch.ok}")
-    if record["peak_tracked_spans"] >= record["peak_cap"]:
+    stream = record["stream"]
+    if not stream.ok:
+        failures.append(f"{record['scenario']}: {len(stream.violations)} "
+                        f"violations on a run that should audit clean")
+    if stream.peak_tracked_spans >= record["peak_cap"]:
         failures.append(
             f"{record['scenario']}: peak tracked spans "
-            f"{record['peak_tracked_spans']} at or above the committed "
+            f"{stream.peak_tracked_spans} at or above the committed "
             f"cap {record['peak_cap']}")
-    if record["peak_tracked_spans"] * 2 >= record["events"]:
+    if stream.peak_tracked_spans * 2 >= record["events"]:
         failures.append(
             f"{record['scenario']}: peak tracked spans not meaningfully "
             f"below the event count")
     return failures
 
 
-def test_streaming_audit_matches_batch(benchmark):
+def test_streaming_audit_stays_bounded(benchmark):
     records = [benchmark.pedantic(stream_scenario, args=("fig7",),
                                   rounds=1, iterations=1)]
     records.extend(stream_scenario(name)
@@ -122,8 +102,8 @@ def test_streaming_audit_matches_batch(benchmark):
         rows.append((record["scenario"], record["events"],
                      len(stream.violations),
                      "yes" if stream.ok else "NO",
-                     record["peak_tracked_spans"], record["peak_cap"]))
-    print_table("Streaming audit — batch equivalence and memory bounds",
+                     stream.peak_tracked_spans, record["peak_cap"]))
+    print_table("Streaming audit — verdict and memory bounds",
                 ("scenario", "events", "violations", "clean",
                  "peak spans", "cap"), rows)
     assert failures == [], failures

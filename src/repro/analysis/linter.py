@@ -28,13 +28,14 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis"})
 DETERMINISM_SCOPE = ("core", "net", "sim", "obs")
 ZERO_COST_SCOPE = ("core", "net")
 #: Files outside ZERO_COST_SCOPE's subsystems that still carry the
-#: zero-cost contract: the streaming auditor's optional window
-#: histogram, the load ledger's optional trace hooks, and the live
+#: zero-cost contract: the auditor's optional window histogram (the
+#: guard lives in ``obs/audit.py`` with ``IncrementalAuditor``), the
+#: load ledger's optional trace hooks, and the live
 #: telemetry plane's instrument touches must be guarded exactly like
 #: the protocol engine's (the ``net`` entry is already covered by the
 #: subsystem scope; it is listed for the record).
 ZERO_COST_FILES = (
-    ("obs", "streaming.py"),
+    ("obs", "audit.py"),
     ("obs", "load.py"),
     ("net", "telemetry.py"),
 )
@@ -42,7 +43,6 @@ EXACT_ROUNDING_FILES = (
     ("sim", "fastreplay.py"),
     ("sim", "columnar.py"),
     ("sim", "shard.py"),
-    ("core", "leasearray.py"),
 )
 #: DCUP009 scope: the asyncio transport plus the live testbed shim —
 #: the only places where code runs *inside* coroutines on the loop.

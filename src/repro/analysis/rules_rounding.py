@@ -9,11 +9,10 @@ Shewchuk-partials :class:`repro.sim.fastreplay.ExactSum`.  A bare
 rounding error and silently breaks the oracle-equivalence property
 tests on the right (wrong) inputs.
 
-The columnar engine, the sharded merge layer and the array-backed lease
-table (``sim/columnar.py``, ``sim/shard.py``, ``core/leasearray.py``)
-inherit the same contract — their sums feed the same bit-identity
-property tests — so the rule covers every module listed in
-:data:`~repro.analysis.linter.EXACT_ROUNDING_FILES`.
+The columnar engine and the sharded merge layer (``sim/columnar.py``,
+``sim/shard.py``) inherit the same contract — their sums feed the same
+bit-identity property tests — so the rule covers every module listed
+in :data:`~repro.analysis.linter.EXACT_ROUNDING_FILES`.
 
 ``DCUP006`` flags, inside those modules:
 
@@ -69,11 +68,11 @@ class ExactRoundingRule(Rule):
     code = "DCUP006"
     name = "exact-rounding-bare-float-sum"
     summary = ("oracle-equivalence modules (sim/fastreplay.py, "
-               "sim/columnar.py, sim/shard.py, core/leasearray.py) must "
-               "accumulate floats only through math.fsum/ExactSum, never "
-               "bare sum() or running +=")
+               "sim/columnar.py, sim/shard.py) must accumulate floats "
+               "only through math.fsum/ExactSum, never bare sum() or "
+               "running +=")
     scope = ("repro/sim/fastreplay.py, repro/sim/columnar.py, "
-             "repro/sim/shard.py, repro/core/leasearray.py")
+             "repro/sim/shard.py")
 
     def check(self, module: ModuleInfo,
               ctx: ProjectContext) -> Iterator[Finding]:

@@ -8,9 +8,10 @@ built unless a bus is attached.  An unguarded
 (``None.emit``) or — worse, when the attribute defaults to a live bus —
 taxes every benchmark.  ``DCUP005`` statically requires the guard for
 every instrument call in the protocol engine and transport
-(``core/``, ``net/``) plus the named streaming files
-(:data:`~repro.analysis.linter.ZERO_COST_FILES` — the incremental
-auditor's optional window histogram and the live telemetry plane):
+(``core/``, ``net/``) plus the named telemetry files
+(:data:`~repro.analysis.linter.ZERO_COST_FILES` — the auditor's
+optional window histogram, the load ledger and the live telemetry
+plane):
 
 * ``*.trace.emit(...)`` / ``*bus.emit(...)``  — trace events,
 * ``*capture.record(...)``                    — wire capture,
@@ -71,7 +72,7 @@ class ZeroCostRule(Rule):
     summary = ("every trace/metrics/capture call in core/, net/ and the "
                "streaming telemetry files must sit under an "
                "'if <receiver> is not None' guard")
-    scope = "repro/{core,net} + obs/{streaming,load}.py"
+    scope = "repro/{core,net} + obs/{audit,load}.py"
 
     def check(self, module: ModuleInfo,
               ctx: ProjectContext) -> Iterator[Finding]:

@@ -23,7 +23,6 @@ from .lease import (
     load_track_file,
     save_track_file,
 )
-from .leasearray import ArrayLeaseTable
 from .listening import ListeningModule, ListeningStats
 from .middleware import DNScup, DNScupConfig, attach_dnscup, category_max_lease
 from .notification import NotificationModule, NotificationOutcome, NotificationStats
@@ -56,7 +55,7 @@ __all__ = [
     "lease_probability", "renewal_rate", "probability_increase",
     "message_rate_reduction", "tradeoff_ratio", "operating_point",
     "fixed_lease_curve", "LeaseOperatingPoint",
-    "Lease", "LeaseTable", "LeaseTableStats", "ArrayLeaseTable",
+    "Lease", "LeaseTable", "LeaseTableStats",
     "save_track_file", "load_track_file",
     "LeasePolicy", "NoLeasePolicy", "FixedLeasePolicy", "DynamicLeasePolicy",
     "AdaptiveBudgetPolicy", "GrantDecision", "MaxLeaseFn",

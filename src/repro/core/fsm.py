@@ -13,9 +13,8 @@ transition row names the protocol action, its source and destination
 states, and the trace event the dispatch site emits
 (:mod:`repro.obs.trace` registry names).  The ``repro-lint`` rule
 ``DCUP013`` (:mod:`repro.analysis.rules_fsm`) cross-checks this table
-against the actual dispatch sites in :mod:`repro.core.lease`,
-:mod:`repro.core.leasearray`, and :mod:`repro.core.renegotiation`:
-a declared transition nobody dispatches, or a dispatched lease/renego
+against the actual dispatch sites in :mod:`repro.core.lease` and
+:mod:`repro.core.renegotiation`: a declared transition nobody dispatches, or a dispatched lease/renego
 event nobody declared, is a finding — the table and the code cannot
 drift apart silently.
 """

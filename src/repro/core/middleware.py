@@ -59,16 +59,6 @@ class DNScupConfig:
     #: Online deprivation (§4.2.2 applied live): when the lease table is
     #: full, revoke the coldest live lease to admit a hotter candidate.
     evict_under_pressure: bool = False
-    #: Track-file backend: ``"dict"`` keeps the object-per-lease
-    #: :class:`~repro.core.lease.LeaseTable`; ``"array"`` switches to the
-    #: columnar :class:`~repro.core.leasearray.ArrayLeaseTable` (same
-    #: API, parallel-array storage — the million-cache configuration).
-    lease_table_backend: str = "dict"
-
-    def __post_init__(self) -> None:
-        if self.lease_table_backend not in ("dict", "array"):
-            raise ValueError(
-                f"unknown lease_table_backend: {self.lease_table_backend!r}")
     #: Observability bundle (:class:`repro.obs.Observability`): when set,
     #: the lease table, detection and notification modules emit trace
     #: events and every module's counters are mirrored into the metrics
@@ -109,11 +99,7 @@ class DNScup:
         self.server = server
         self.config = config or DNScupConfig()
         self.policy = policy or DynamicLeasePolicy(rate_threshold=0.0)
-        if self.config.lease_table_backend == "array":
-            from .leasearray import ArrayLeaseTable
-            self.table = ArrayLeaseTable(capacity=self.config.lease_capacity)
-        else:
-            self.table = LeaseTable(capacity=self.config.lease_capacity)
+        self.table = LeaseTable(capacity=self.config.lease_capacity)
         simulator = server.host.simulator
         self.listening = ListeningModule(
             simulator, self.table, self.policy,

@@ -5,7 +5,7 @@ testbed (:mod:`repro.sim.livetestbed`):
 
 * **streaming audit** — the trace bus's ``tap`` hook feeds every event,
   as it is emitted, into an
-  :class:`~repro.obs.streaming.IncrementalAuditor`, so protocol
+  :class:`~repro.obs.audit.IncrementalAuditor`, so protocol
   violations are known *while the run executes* instead of post-hoc;
   with ``fail_fast`` the first permanent violation surfaces through the
   clock's error probes and aborts
@@ -34,9 +34,8 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.audit import AuditLimits, Violation
+from ..obs.audit import AuditLimits, IncrementalAuditor, Violation
 from ..obs.metrics import LATENCY_BUCKETS
-from ..obs.streaming import IncrementalAuditor
 from ..obs.trace import TraceEvent
 from ..obs.wiring import Observability
 from .aio import AioNetwork, TextExpositionPort

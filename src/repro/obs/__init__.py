@@ -15,12 +15,14 @@ numbers (ack RTT, consistency window) from the raw trace alone.
 
 On top of the raw record sits the auditing layer:
 
+* :mod:`repro.obs.audit` checks the protocol's guarantees
+  (completeness, termination, causality, budget conformance,
+  staleness, trace/wire agreement) one event at a time and emits
+  :class:`Violation` records — :class:`IncrementalAuditor` online,
+  :func:`audit_trace` over a finished trace, one engine;
 * :mod:`repro.obs.spans` rebuilds causal spans — per-change
-  notification trees and per-pair lease lifecycles;
-* :mod:`repro.obs.audit` checks the protocol's guarantees over those
-  spans (completeness, termination, causality, budget conformance,
-  staleness, trace/wire agreement) and emits :class:`Violation`
-  records;
+  notification trees and per-pair lease lifecycles — for the reports
+  and the trace/wire cross-check;
 * :mod:`repro.obs.report` renders bucket-interpolated percentiles,
   per-domain timelines, and the markdown run report behind
   ``repro-obs audit|spans|report``.
@@ -39,6 +41,7 @@ from .audit import (
     BUDGET_STORAGE,
     CAUSALITY,
     COMPLETENESS,
+    IncrementalAuditor,
     STALENESS,
     TERMINATION,
     VIOLATION_KINDS,
@@ -84,10 +87,6 @@ from .spans import (
     NotificationLeg,
     SpanSet,
     build_spans,
-)
-from .streaming import (
-    IncrementalAuditor,
-    StreamReport,
 )
 from .trace import (
     CHANGE_DETECTED,
@@ -143,7 +142,7 @@ __all__ = [
     "ChangeSpan", "LeaseSpan", "NotificationLeg", "SpanSet", "build_spans",
     "AuditLimits", "AuditReport", "Violation", "VIOLATION_KINDS",
     "audit_trace", "audit_observability",
-    "IncrementalAuditor", "StreamReport",
+    "IncrementalAuditor",
     "COMPLETENESS", "TERMINATION", "CAUSALITY",
     "BUDGET_STORAGE", "BUDGET_RENEWAL", "STALENESS", "WIRE",
     "histogram_percentile", "percentiles", "REPORT_QUANTILES",

@@ -3,9 +3,9 @@
 DNScup's headline claims are *guarantees*: after a DN2IP change every
 leased cache is consistent again within one notification round trip,
 live leases never exceed the storage budget, and renewals never exceed
-the message budget of the §4 optimizers.  :func:`audit_trace` checks
-those guarantees machine-readably over one exported trace (plus,
-optionally, the wire capture), emitting a structured
+the message budget of the §4 optimizers.  One engine,
+:class:`IncrementalAuditor`, checks those guarantees machine-readably
+over a trace, one event at a time, emitting a structured
 :class:`Violation` per breach:
 
 * **completeness** — every cache holding a live lease on the changed
@@ -25,6 +25,37 @@ optionally, the wire capture), emitting a structured
   datagrams by message ID, with enough transmissions for its attempts
   and a delivered datagram behind every acknowledgement.
 
+Feed the auditor trace events in emission order
+(:meth:`IncrementalAuditor.feed` / :meth:`~IncrementalAuditor.feed_many`):
+
+* violations that no later event can repair (orphans, causality
+  breaches, budget breaches, post-settlement bookkeeping) become
+  **permanent** the moment their evidence arrives and are returned from
+  ``feed`` — the live telemetry plane fails fast on them;
+* obligations that a later event may still discharge (an unresolved
+  ``notify.send``, an unnotified lease holder, an unsettled change) are
+  held as **pending** state and materialize as violations only when
+  :meth:`~IncrementalAuditor.report` is asked for a verdict.  Reports
+  are non-destructive and history-independent: the report after any
+  prefix equals that of a fresh auditor fed the same prefix.
+
+Memory stays bounded by the *in-flight* protocol state, not the trace
+length: once a change settles and every leg has resolved, its span is
+retired — dropped whole, leaving only its seq in a set so that late
+events naming it are still classified as orphans
+(:func:`repro.obs.spans._closed` is the same freeze point, and says
+why no instrumented run names a retired seq again).  The peak number
+of tracked spans (unretired changes + live leases + unresolved
+untracked legs) is :attr:`IncrementalAuditor.peak_tracked_spans`,
+asserted against documented bounds in
+``benchmarks/bench_streaming_audit.py``.
+
+:func:`audit_trace` — the batch entry point — is ``feed_many`` plus
+``report``.  Only the **wire** family needs more than the event stream:
+when a capture is supplied, ``audit_trace`` additionally rebuilds the
+notification legs with ``build_spans`` and cross-checks them against
+the captured datagrams.
+
 The auditor assumes a complete trace (``TraceBus.dropped == 0``):
 ring-truncated traces decapitate spans and surface false causality
 orphans, which is the honest answer for an unauditable record.
@@ -32,12 +63,29 @@ orphans, which is the honest answer for an unauditable record.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import (Any, Callable, ClassVar, Deque, Dict, Iterable, List,
+                    Optional, Sequence, Set, Tuple)
 
 from .capture import FATE_DELIVERED
-from .spans import NotificationLeg, SpanSet, build_spans
-from .trace import LEASE_EXPIRE, LEASE_GRANT, LEASE_RENEW, LEASE_REVOKE, TraceEvent
+from .metrics import Histogram
+from .spans import (LeaseKey, SpanSet, _as_seq, _leg_key, _lease_key,
+                    build_spans)
+from .trace import (
+    CHANGE_DETECTED,
+    CHANGE_SETTLED,
+    LEASE_EXPIRE,
+    LEASE_GRANT,
+    LEASE_RENEW,
+    LEASE_REVOKE,
+    NOTIFY_ACK,
+    NOTIFY_RETRANSMIT,
+    NOTIFY_SEND,
+    NOTIFY_TIMEOUT,
+    TraceEvent,
+)
 
 #: Violation kinds (a stable contract, PROTOCOL.md §9).
 COMPLETENESS = "completeness"
@@ -96,19 +144,24 @@ class AuditLimits:
 
 @dataclasses.dataclass
 class AuditReport:
-    """The auditor's verdict over one trace."""
+    """The auditor's verdict over the events fed so far."""
 
     violations: List[Violation]
     #: Facts examined per check family (for "0 violations across N
     #: checks" reporting; a family absent from the dict did not run).
     checks: Dict[str, int]
-    spans: SpanSet
     events_audited: int
+    #: Currently tracked spans and the high-water mark (the documented
+    #: memory bound: unretired changes + live leases + unresolved
+    #: untracked legs).
+    tracked_spans: int
+    peak_tracked_spans: int
+    #: Capture records cross-checked; None when no capture was supplied.
     capture_audited: Optional[int] = None
 
     @property
     def ok(self) -> bool:
-        """True when no invariant was violated."""
+        """True when no invariant is violated on the prefix seen."""
         return not self.violations
 
     def counts(self) -> Dict[str, int]:
@@ -136,10 +189,9 @@ class AuditReport:
 
 # -- violation constructors ---------------------------------------------------
 #
-# Both auditors — batch :func:`audit_trace` below and the streaming
-# :class:`repro.obs.streaming.IncrementalAuditor` — build their
-# violations through these constructors, so the two paths emit
-# bit-identical messages and evidence tuples by construction.
+# PROTOCOL.md §9.3's message contract in one place: every violation the
+# auditor emits, permanent or pending, is built here, so a message or
+# evidence tuple has exactly one spelling.
 
 
 def orphan_violation(index: int, reason: str) -> Violation:
@@ -296,6 +348,541 @@ def renewal_budget_violation(t: float, index: int, in_window: int,
                  f"communication budget of {budget:.6g}/s"))
 
 
+# -- the auditor --------------------------------------------------------------
+
+
+def _evidence_order(total: int) -> Callable[[Violation], Tuple[int, str]]:
+    """A report's sort key: first evidence index (evidence-free
+    violations last), then kind.  The sort is stable, so violations that
+    tie keep the order their evidence arrived in."""
+    return lambda v: (v.events[0] if v.events else total, v.kind)
+
+
+@dataclasses.dataclass(eq=False)
+class _Leg:
+    """One in-flight notification leg (forgotten once resolved)."""
+
+    seq: int
+    cache: str
+    name: object
+    rrtype: object
+    send_index: int
+    send_t: float
+
+
+@dataclasses.dataclass
+class _Lease:
+    """The live lease on one (cache, name, rrtype) pair."""
+
+    cache: str
+    grant_index: int
+    start: float
+    length: float
+
+
+@dataclasses.dataclass
+class _Change:
+    """Running state for one unretired change seq: its in-flight legs,
+    unnotified holders and settle bookkeeping.
+    :meth:`IncrementalAuditor._maybe_retire` drops it whole once the
+    change settled and every leg resolved.
+    """
+
+    seq: int
+    detected_index: Optional[int] = None
+    detected_t: Optional[float] = None
+    name: object = None
+    rrtype: object = None
+    #: send_index -> unresolved leg, in send order (resolved legs are
+    #: dropped).
+    unresolved: Dict[int, _Leg] = dataclasses.field(default_factory=dict)
+    #: send_index of every leg, resolved or not (for the never-settled
+    #: evidence tuple).
+    send_indices: List[int] = dataclasses.field(default_factory=list)
+    #: Caches notified before the detect event (None once detected).
+    pre_detect_caches: Optional[Set[str]] = \
+        dataclasses.field(default_factory=set)
+    #: holder cache -> grant_index still owed a notify.send
+    #: (None before the detect event).
+    pending_holders: Optional[Dict[str, int]] = None
+    #: ``(send_index, ack_index, ack_t, cache)`` for acks that landed
+    #: before the detect event — their staleness check needs
+    #: ``detected_t`` and runs retroactively when the detect arrives.
+    pre_detect_acks: List[Tuple[int, int, float, str]] = \
+        dataclasses.field(default_factory=list)
+    acked: int = 0
+    failed: int = 0
+    ack_max: Optional[float] = None
+    settled_index: Optional[int] = None
+    settled_t: Optional[float] = None
+    settled_window: Optional[float] = None
+    settled_acked: Optional[int] = None
+    settled_failed: Optional[int] = None
+
+
+class IncrementalAuditor:
+    """The audit engine: single pass, memory bounded by open spans.
+
+    ``window_hist`` (optional) receives one observation per settled
+    change — its recomputed consistency window — at retirement time;
+    the tail follower uses it for rolling p50/p95 percentiles.
+    """
+
+    def __init__(self, limits: Optional[AuditLimits] = None,
+                 window_hist: Optional[Histogram] = None) -> None:
+        self.limits = limits or AuditLimits()
+        self.window_hist = window_hist
+        self._permanent: List[Violation] = []
+        self._checks: Dict[str, int] = {}
+        #: Events consumed so far.
+        self.events_audited = 0
+        #: seq -> unretired change, in first-seen order.
+        self._changes: Dict[int, _Change] = {}
+        #: Seqs of retired changes — all a late event naming one needs
+        #: to know to be classified as an orphan.
+        self._retired: Set[int] = set()
+        self._leases: Dict[LeaseKey, _Lease] = {}
+        #: send_index -> unresolved untracked (seq 0) leg, in send order.
+        self._untracked: Dict[int, _Leg] = {}
+        # Every unresolved leg again, by matching identity (_leg_key,
+        # as in build_spans), oldest first: pairing an ack, retransmit
+        # or timeout with its leg is O(1), not a scan of the fan-out.
+        self._open_legs: Dict[Tuple[object, ...], Deque[_Leg]] = {}
+        # Budget replay state: lease-table occupancy and the renewal
+        # sliding window.
+        self._budget_active = 0
+        self._renew_times: Deque[float] = collections.deque()
+        self.peak_tracked_spans = 0
+
+    # -- public surface ------------------------------------------------------
+
+    @property
+    def tracked_spans(self) -> int:
+        """Live state the auditor is holding: unretired changes plus
+        live leases plus unresolved untracked legs."""
+        return (len(self._changes) + len(self._leases)
+                + len(self._untracked))
+
+    @property
+    def permanent_violations(self) -> Tuple[Violation, ...]:
+        """Violations no later event can repair (fail-fast signal)."""
+        return tuple(self._permanent)
+
+    def feed(self, event: TraceEvent) -> List[Violation]:
+        """Consume one trace event; return newly-permanent violations."""
+        before = len(self._permanent)
+        self._consume(event)
+        return self._permanent[before:]
+
+    def feed_many(self, events: Iterable[TraceEvent]) -> List[Violation]:
+        """Consume events in order; return newly-permanent violations."""
+        before = len(self._permanent)
+        consume = self._consume
+        for event in events:
+            consume(event)
+        return self._permanent[before:]
+
+    def pending_violations(self) -> List[Violation]:
+        """Obligations still open on the prefix seen so far:
+        unresolved legs, unnotified holders, unsettled fan-outs, and
+        bookkeeping checks for spans that settled while legs were still
+        in flight.  Non-destructive — feeding more events may discharge
+        them.
+        """
+        return self._pending({})
+
+    def _pending(self, checks: Dict[str, int]) -> List[Violation]:
+        """:meth:`pending_violations`, counting the checks they take
+        into ``checks``."""
+        pending: List[Violation] = []
+        for change in self._changes.values():
+            for leg in change.unresolved.values():
+                pending.append(unresolved_leg_violation(
+                    change.seq, leg.cache, leg.send_t, leg.send_index))
+            pending.extend(self._unnotified_holders(change))
+            if change.send_indices and change.settled_index is None:
+                checks[TERMINATION] = checks.get(TERMINATION, 0) + 1
+                pending.append(never_settled_violation(
+                    change.seq, change.detected_t,
+                    len(change.send_indices),
+                    tuple(change.send_indices)))
+            if change.settled_index is not None:
+                # Settled while legs were still unresolved: check the
+                # bookkeeping against the counts visible so far, without
+                # retiring, so a later resolution updates the verdict.
+                pending.extend(self._settlement_violations(change, checks))
+        for leg in self._untracked.values():
+            pending.append(untracked_unresolved_violation(
+                leg.cache, leg.send_t, leg.send_index))
+        return pending
+
+    def report(self) -> AuditReport:
+        """Full verdict over the prefix consumed so far."""
+        checks = dict(self._checks)
+        violations = self._permanent + self._pending(checks)
+        total = self.events_audited
+        violations.sort(key=_evidence_order(total))
+        return AuditReport(
+            violations=violations, checks=checks, events_audited=total,
+            tracked_spans=self.tracked_spans,
+            peak_tracked_spans=self.peak_tracked_spans)
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def _consume(self, event: TraceEvent) -> None:
+        """Number the event, dispatch it, note the high-water mark."""
+        t, name, fields = event
+        index = self.events_audited
+        self.events_audited = index + 1
+        handler = self._HANDLERS.get(name)
+        if handler is None:
+            return
+        handler(self, index, t, fields)
+        tracked = self.tracked_spans
+        if tracked > self.peak_tracked_spans:
+            self.peak_tracked_spans = tracked
+
+    def _check(self, kind: str, amount: int = 1) -> None:
+        self._checks[kind] = self._checks.get(kind, 0) + amount
+
+    def _orphan(self, index: int, reason: str) -> None:
+        self._permanent.append(orphan_violation(index, reason))
+
+    def _change_for(self, seq: int) -> _Change:
+        change = self._changes.get(seq)
+        if change is None:
+            change = self._changes[seq] = _Change(seq=seq)
+        return change
+
+    def _open_leg(self, fields: Dict[str, object],
+                  resolve: bool = False) -> Optional[_Leg]:
+        """The oldest unresolved leg this event can belong to;
+        ``resolve`` also forgets it (an ack or timeout closes it)."""
+        seq = _as_seq(fields)
+        key = _leg_key(seq, str(fields.get("cache")), fields.get("name"),
+                       fields.get("rrtype"))
+        queue = self._open_legs.get(key)
+        if queue is None:
+            return None
+        leg = queue[0]
+        if resolve:
+            queue.popleft()
+            if not queue:
+                del self._open_legs[key]
+            if seq:
+                del self._changes[seq].unresolved[leg.send_index]
+            else:
+                del self._untracked[leg.send_index]
+        return leg
+
+    # -- change-span events --------------------------------------------------
+
+    def _on_detected(self, index: int, t: float,
+                     fields: Dict[str, object]) -> None:
+        seq = _as_seq(fields)
+        if not seq:
+            self._orphan(index, "change.detected without seq")
+            return
+        if seq in self._retired:
+            self._orphan(
+                index, f"change.detected after change settled seq={seq}")
+            return
+        change = self._change_for(seq)
+        if change.detected_index is not None:
+            self._orphan(index, f"duplicate change.detected seq={seq}")
+            return
+        change.detected_index = index
+        change.detected_t = t
+        change.name = fields.get("name")
+        change.rrtype = fields.get("rrtype")
+        if change.name is not None:
+            # Completeness: snapshot the live holders right now —
+            # granted before this event, not yet ended, term still
+            # running (``t < expiry``, :meth:`repro.core.lease.Lease.
+            # is_valid`'s strict bound).  Later events cannot add to
+            # the set a change owed a notification, so it is final.
+            rrtype = change.rrtype or ""
+            holders = sorted(
+                (lease.grant_index, lease.cache)
+                for key, lease in self._leases.items()
+                if key[1] == change.name and key[2] == rrtype
+                and lease.grant_index < index
+                and t < lease.start + lease.length)
+            self._check(COMPLETENESS, max(len(holders), 1))
+            seen = change.pre_detect_caches or set()
+            change.pending_holders = {
+                cache: grant_index for grant_index, cache in holders
+                if cache not in seen}
+        else:
+            change.pending_holders = {}
+        change.pre_detect_caches = None
+        if self.limits.max_staleness is not None:
+            for send_index, ack_index, ack_t, cache in \
+                    change.pre_detect_acks:
+                self._check(STALENESS)
+                staleness = ack_t - t
+                if staleness > self.limits.max_staleness + FLOAT_SLACK:
+                    self._permanent.append(stale_holder_violation(
+                        seq, cache, ack_t, send_index, ack_index,
+                        staleness, self.limits.max_staleness))
+        change.pre_detect_acks = []
+
+    def _on_send(self, index: int, t: float,
+                 fields: Dict[str, object]) -> None:
+        seq = _as_seq(fields)
+        if seq in self._retired:
+            self._orphan(index, f"notify.send after change settled seq={seq}")
+            return
+        leg = _Leg(seq=seq, cache=str(fields.get("cache")),
+                   name=fields.get("name"), rrtype=fields.get("rrtype"),
+                   send_index=index, send_t=t)
+        self._check(TERMINATION)
+        self._check(CAUSALITY)
+        self._open_legs.setdefault(
+            _leg_key(seq, leg.cache, leg.name, leg.rrtype),
+            collections.deque()).append(leg)
+        if not seq:
+            self._untracked[index] = leg
+            return
+        change = self._change_for(seq)
+        change.unresolved[index] = leg
+        change.send_indices.append(index)
+        if change.pre_detect_caches is not None:
+            change.pre_detect_caches.add(leg.cache)
+        elif change.pending_holders:
+            change.pending_holders.pop(leg.cache, None)
+
+    def _on_retransmit(self, index: int, t: float,
+                       fields: Dict[str, object]) -> None:
+        leg = self._open_leg(fields)
+        if leg is None:
+            self._orphan(index, "retransmit without outstanding send")
+            return
+        attempt = int(fields.get("attempt", 0))
+        if t < leg.send_t:
+            self._permanent.append(retransmit_early_violation(
+                leg.seq, leg.cache, t, leg.send_index, index))
+        if attempt < 2:
+            self._permanent.append(retransmit_attempt_violation(
+                leg.seq, leg.cache, t, leg.send_index, index, attempt))
+
+    def _on_ack(self, index: int, t: float,
+                fields: Dict[str, object]) -> None:
+        leg = self._open_leg(fields, resolve=True)
+        if leg is None:
+            self._orphan(index, "ack without outstanding send")
+            return
+        raw_rtt = fields.get("rtt")
+        rtt = float(raw_rtt) if raw_rtt is not None else None
+        if t < leg.send_t:
+            self._permanent.append(ack_before_send_violation(
+                leg.seq, leg.cache, t, leg.send_index, index))
+        if rtt is None:
+            self._permanent.append(ack_missing_rtt_violation(
+                leg.seq, leg.cache, t, index))
+        elif abs((t - leg.send_t) - rtt) > FLOAT_SLACK:
+            self._permanent.append(rtt_mismatch_violation(
+                leg.seq, leg.cache, leg.send_t, t, leg.send_index,
+                index, rtt))
+        if not leg.seq:
+            # Untracked legs have no detection time: they owe
+            # termination and causality, no staleness bound.
+            return
+        change = self._changes[leg.seq]
+        change.acked += 1
+        if change.ack_max is None or t > change.ack_max:
+            change.ack_max = t
+        if self.limits.max_staleness is not None:
+            if change.detected_t is not None:
+                self._check(STALENESS)
+                staleness = t - change.detected_t
+                if staleness > self.limits.max_staleness + FLOAT_SLACK:
+                    self._permanent.append(stale_holder_violation(
+                        leg.seq, leg.cache, t, leg.send_index, index,
+                        staleness, self.limits.max_staleness))
+            else:
+                change.pre_detect_acks.append(
+                    (leg.send_index, index, t, leg.cache))
+        self._leg_closed(change, leg, index)
+
+    def _on_timeout(self, index: int, t: float,
+                    fields: Dict[str, object]) -> None:
+        leg = self._open_leg(fields, resolve=True)
+        if leg is None:
+            self._orphan(index, "timeout without outstanding send")
+            return
+        if t < leg.send_t:
+            self._permanent.append(timeout_before_send_violation(
+                leg.seq, leg.cache, t, leg.send_index, index))
+        if not leg.seq:
+            return
+        change = self._changes[leg.seq]
+        change.failed += 1
+        self._leg_closed(change, leg, index)
+
+    def _leg_closed(self, change: _Change, leg: _Leg, index: int) -> None:
+        """A tracked leg just resolved at event ``index``: too late if
+        its change already settled, and possibly the last one out."""
+        if change.settled_index is not None:
+            self._permanent.append(resolved_after_settled_violation(
+                leg.seq, leg.cache, change.settled_t, index,
+                change.settled_index))
+        self._maybe_retire(change)
+
+    def _on_settled(self, index: int, t: float,
+                    fields: Dict[str, object]) -> None:
+        seq = _as_seq(fields)
+        if not seq:
+            self._orphan(index, "change.settled without seq")
+            return
+        # A retired seq has settled by definition.
+        change = None if seq in self._retired else self._change_for(seq)
+        if change is None or change.settled_index is not None:
+            self._orphan(index, f"duplicate change.settled seq={seq}")
+            return
+        change.settled_index = index
+        change.settled_t = t
+        window = fields.get("window")
+        change.settled_window = \
+            float(window) if window is not None else None
+        acked = fields.get("acked")
+        change.settled_acked = \
+            int(acked) if acked is not None else None
+        failed = fields.get("failed")
+        change.settled_failed = \
+            int(failed) if failed is not None else None
+        self._maybe_retire(change)
+
+    def _settlement_violations(self, change: _Change,
+                               checks: Dict[str, int]) -> List[Violation]:
+        """The settle event's bookkeeping vs the counts seen so far
+        (one staleness check, counted into ``checks``)."""
+        settled_index = change.settled_index
+        assert settled_index is not None
+        checks[STALENESS] = checks.get(STALENESS, 0) + 1
+        out: List[Violation] = []
+        if change.settled_acked is not None \
+                and change.settled_acked != change.acked:
+            out.append(settled_acked_violation(
+                change.seq, change.settled_t, settled_index,
+                change.settled_acked, change.acked))
+        if change.settled_failed is not None \
+                and change.settled_failed != change.failed:
+            out.append(settled_failed_violation(
+                change.seq, change.settled_t, settled_index,
+                change.settled_failed, change.failed))
+        window: Optional[float] = None
+        if change.detected_t is not None and change.ack_max is not None:
+            window = change.ack_max - change.detected_t
+        recorded = change.settled_window
+        if (window is None) != (recorded is None) or (
+                window is not None and recorded is not None
+                and abs(window - recorded) > FLOAT_SLACK):
+            out.append(settled_window_violation(
+                change.seq, change.settled_t, settled_index,
+                recorded, window))
+        return out
+
+    def _unnotified_holders(self, change: _Change) -> List[Violation]:
+        """Holders snapshotted at detection that no send has reached."""
+        if not change.pending_holders:
+            return []
+        detected_index = change.detected_index
+        assert detected_index is not None
+        return [unnotified_holder_violation(
+                    change.seq, change.detected_t, detected_index,
+                    grant_index, cache, change.name, change.rrtype)
+                for cache, grant_index in change.pending_holders.items()]
+
+    def _maybe_retire(self, change: _Change) -> None:
+        """Fold a settled, fully-resolved span into permanent state
+        and forget it: only its seq is kept, which is all a late event
+        is ever asked (``_retired``)."""
+        if change.settled_index is None or change.unresolved:
+            return
+        self._permanent.extend(
+            self._settlement_violations(change, self._checks))
+        self._permanent.extend(self._unnotified_holders(change))
+        window_hist = self.window_hist
+        if window_hist is not None:
+            if change.detected_t is not None \
+                    and change.ack_max is not None:
+                window_hist.observe(change.ack_max - change.detected_t)
+        self._retired.add(change.seq)
+        del self._changes[change.seq]
+
+    # -- lease + budget events -----------------------------------------------
+
+    def _on_grant(self, index: int, t: float,
+                  fields: Dict[str, object]) -> None:
+        # Supersedes any span still open on the pair.
+        key = _lease_key(fields)
+        self._leases[key] = _Lease(
+            cache=key[0], grant_index=index, start=t,
+            length=float(fields.get("length", 0.0)))
+        self._budget_active += 1
+        if self.limits.storage_budget is not None:
+            self._check(BUDGET_STORAGE)
+            if self._budget_active > self.limits.storage_budget:
+                self._permanent.append(storage_budget_violation(
+                    t, index, self._budget_active,
+                    self.limits.storage_budget))
+
+    def _on_renew(self, index: int, t: float,
+                  fields: Dict[str, object]) -> None:
+        key = _lease_key(fields)
+        length = float(fields.get("length", 0.0))
+        current = self._leases.get(key)
+        if current is not None:
+            # A renewal restarts the term from its own timestamp.
+            current.start = t
+            current.length = length
+        else:
+            # Renew without a live lease opens a fresh span, same as
+            # build_spans' grant fallthrough.
+            self._leases[key] = _Lease(cache=key[0], grant_index=index,
+                                       start=t, length=length)
+        if self.limits.renewal_budget is not None:
+            self._check(BUDGET_RENEWAL)
+            window = self.limits.renewal_window
+            times = self._renew_times
+            times.append(t)
+            while times[0] <= t - window:
+                times.popleft()
+            in_window = len(times)
+            allowed = self.limits.renewal_budget * window
+            if in_window > allowed + FLOAT_SLACK:
+                self._permanent.append(renewal_budget_violation(
+                    t, index, in_window, window,
+                    self.limits.renewal_budget))
+
+    def _on_lease_end(self, index: int, t: float,
+                      fields: Dict[str, object], event: str) -> None:
+        if self._leases.pop(_lease_key(fields), None) is None:
+            self._orphan(index, f"{event} without a live lease")
+        self._budget_active = max(0, self._budget_active - 1)
+
+    #: Event name -> handler, called ``handler(self, index, t, fields)``;
+    #: a name absent here (``net.*``, ``load.*``, ...) is nothing the
+    #: audit reads.  On the class: an auditor holds no cycle through
+    #: bound methods, so dropping one frees its state at once.
+    _HANDLERS: ClassVar[Dict[str, Callable[..., None]]] = {
+        NOTIFY_SEND: _on_send,
+        NOTIFY_ACK: _on_ack,
+        NOTIFY_RETRANSMIT: _on_retransmit,
+        NOTIFY_TIMEOUT: _on_timeout,
+        CHANGE_DETECTED: _on_detected,
+        CHANGE_SETTLED: _on_settled,
+        LEASE_GRANT: _on_grant,
+        LEASE_RENEW: _on_renew,
+        LEASE_EXPIRE: functools.partial(_on_lease_end, event=LEASE_EXPIRE),
+        LEASE_REVOKE: functools.partial(_on_lease_end, event=LEASE_REVOKE),
+    }
+
+
+# -- batch entry points ------------------------------------------------------
+
+
 def audit_trace(events: Sequence[TraceEvent],
                 capture: Optional[Sequence[Dict[str, object]]] = None,
                 limits: Optional[AuditLimits] = None) -> AuditReport:
@@ -304,29 +891,21 @@ def audit_trace(events: Sequence[TraceEvent],
     ``capture`` is the wire-capture record list
     (:attr:`repro.obs.WireCapture.records` or
     :func:`repro.obs.load_capture` output); None skips the trace/wire
-    cross-check.  ``limits`` supplies the budgets; None checks only the
-    budget-free invariants.
+    cross-check — and the ``build_spans`` pass it alone needs.
+    ``limits`` supplies the budgets; None checks only the budget-free
+    invariants.
     """
-    limits = limits or AuditLimits()
-    spans = build_spans(events)
-    violations: List[Violation] = []
-    checks: Dict[str, int] = {}
-
-    def check(kind: str, amount: int = 1) -> None:
-        checks[kind] = checks.get(kind, 0) + amount
-
-    _audit_orphans(spans, violations)
-    _audit_changes(spans, limits, violations, check)
-    _audit_untracked(spans.untracked, violations, check)
-    _audit_budgets(events, limits, violations, check)
+    auditor = IncrementalAuditor(limits)
+    auditor.feed_many(events)
+    report = auditor.report()
     if capture is not None:
-        _audit_wire(spans, capture, violations, check)
-    violations.sort(key=lambda v: (v.events[0] if v.events else len(events),
-                                   v.kind))
-    return AuditReport(
-        violations=violations, checks=checks, spans=spans,
-        events_audited=len(events),
-        capture_audited=len(capture) if capture is not None else None)
+        wire_violations, examined = _audit_wire(build_spans(events), capture)
+        if examined:
+            report.checks[WIRE] = examined
+        report.violations.extend(wire_violations)
+        report.violations.sort(key=_evidence_order(report.events_audited))
+        report.capture_audited = len(capture)
+    return report
 
 
 def audit_observability(obs: Any, limits: Optional[AuditLimits] = None
@@ -337,168 +916,19 @@ def audit_observability(obs: Any, limits: Optional[AuditLimits] = None
             f"trace incomplete: {obs.trace.dropped} events fell off the "
             f"ring — raise trace_capacity to audit this run")
     capture = obs.capture.records if obs.capture is not None else None
-    return audit_trace(list(obs.trace.events), capture=capture,
-                       limits=limits)
-
-
-# -- span-level checks --------------------------------------------------------
-
-
-def _audit_orphans(spans: SpanSet, violations: List[Violation]) -> None:
-    for index, reason in spans.orphans:
-        violations.append(orphan_violation(index, reason))
-
-
-def _audit_leg(leg: NotificationLeg, detected_t: Optional[float],
-               limits: AuditLimits, violations: List[Violation],
-               check) -> None:
-    """Per-leg causality (+ optional staleness bound)."""
-    check(CAUSALITY)
-    for index, t, attempt in leg.retransmits:
-        if t < leg.send_t:
-            violations.append(retransmit_early_violation(
-                leg.seq, leg.cache, t, leg.send_index, index))
-        if attempt < 2:
-            violations.append(retransmit_attempt_violation(
-                leg.seq, leg.cache, t, leg.send_index, index, attempt))
-    if leg.ack_index is not None:
-        assert leg.ack_t is not None
-        if leg.ack_t < leg.send_t:
-            violations.append(ack_before_send_violation(
-                leg.seq, leg.cache, leg.ack_t, leg.send_index,
-                leg.ack_index))
-        if leg.rtt is None:
-            violations.append(ack_missing_rtt_violation(
-                leg.seq, leg.cache, leg.ack_t, leg.ack_index))
-        elif abs((leg.ack_t - leg.send_t) - leg.rtt) > FLOAT_SLACK:
-            violations.append(rtt_mismatch_violation(
-                leg.seq, leg.cache, leg.send_t, leg.ack_t,
-                leg.send_index, leg.ack_index, leg.rtt))
-        if limits.max_staleness is not None and detected_t is not None:
-            check(STALENESS)
-            staleness = leg.ack_t - detected_t
-            if staleness > limits.max_staleness + FLOAT_SLACK:
-                violations.append(stale_holder_violation(
-                    leg.seq, leg.cache, leg.ack_t, leg.send_index,
-                    leg.ack_index, staleness, limits.max_staleness))
-    if leg.timeout_index is not None and leg.timeout_t is not None \
-            and leg.timeout_t < leg.send_t:
-        violations.append(timeout_before_send_violation(
-            leg.seq, leg.cache, leg.timeout_t, leg.send_index,
-            leg.timeout_index))
-
-
-def _audit_changes(spans: SpanSet, limits: AuditLimits,
-                   violations: List[Violation], check) -> None:
-    for span in spans.changes:
-        # Completeness: every live holder at change time was notified.
-        if span.detected_index is not None and span.name is not None:
-            notified = {leg.cache for leg in span.legs}
-            holders = spans.holders_at(span.name, span.rrtype or "",
-                                       span.detected_t or 0.0,
-                                       span.detected_index)
-            check(COMPLETENESS, max(len(holders), 1))
-            for holder in holders:
-                if holder.cache not in notified:
-                    violations.append(unnotified_holder_violation(
-                        span.seq, span.detected_t, span.detected_index,
-                        holder.grant_index, holder.cache, span.name,
-                        span.rrtype))
-        # Termination: every leg resolves, and before the settle event.
-        for leg in span.legs:
-            check(TERMINATION)
-            if not leg.resolved:
-                violations.append(unresolved_leg_violation(
-                    span.seq, leg.cache, leg.send_t, leg.send_index))
-            elif span.settled_index is not None \
-                    and leg.resolution_index > span.settled_index:
-                violations.append(resolved_after_settled_violation(
-                    span.seq, leg.cache, span.settled_t,
-                    leg.resolution_index, span.settled_index))
-            _audit_leg(leg, span.detected_t, limits, violations, check)
-        if span.legs and span.settled_index is None:
-            check(TERMINATION)
-            violations.append(never_settled_violation(
-                span.seq, span.detected_t, len(span.legs),
-                tuple(leg.send_index for leg in span.legs)))
-        if span.settled_index is not None:
-            _audit_settlement(span, violations, check)
-
-
-def _audit_settlement(span, violations: List[Violation], check) -> None:
-    """The settle event's bookkeeping matches the reconstructed tree."""
-    check(STALENESS)
-    acked = len(span.acked_legs())
-    failed = sum(1 for leg in span.legs
-                 if leg.resolved and not leg.acked)
-    if span.settled_acked is not None and span.settled_acked != acked:
-        violations.append(settled_acked_violation(
-            span.seq, span.settled_t, span.settled_index,
-            span.settled_acked, acked))
-    if span.settled_failed is not None and span.settled_failed != failed:
-        violations.append(settled_failed_violation(
-            span.seq, span.settled_t, span.settled_index,
-            span.settled_failed, failed))
-    window = span.window()
-    recorded = span.settled_window
-    if (window is None) != (recorded is None) or (
-            window is not None and recorded is not None
-            and abs(window - recorded) > FLOAT_SLACK):
-        violations.append(settled_window_violation(
-            span.seq, span.settled_t, span.settled_index,
-            recorded, window))
-
-
-def _audit_untracked(untracked: Sequence[NotificationLeg],
-                     violations: List[Violation], check) -> None:
-    """Untracked (seq 0) legs still owe termination and causality."""
-    for leg in untracked:
-        check(TERMINATION)
-        if not leg.resolved:
-            violations.append(untracked_unresolved_violation(
-                leg.cache, leg.send_t, leg.send_index))
-        _audit_leg(leg, None, AuditLimits(), violations, check)
-
-
-# -- budget checks ------------------------------------------------------------
-
-
-def _audit_budgets(events: Sequence[TraceEvent], limits: AuditLimits,
-                   violations: List[Violation], check) -> None:
-    if limits.storage_budget is None and limits.renewal_budget is None:
-        return
-    active = 0
-    renew_times: List[float] = []  # used as a sliding-window deque
-    window_start = 0
-    for index, (t, event, _fields) in enumerate(events):
-        if event == LEASE_GRANT:
-            active += 1
-            if limits.storage_budget is not None:
-                check(BUDGET_STORAGE)
-                if active > limits.storage_budget:
-                    violations.append(storage_budget_violation(
-                        t, index, active, limits.storage_budget))
-        elif event in (LEASE_EXPIRE, LEASE_REVOKE):
-            active = max(0, active - 1)
-        elif event == LEASE_RENEW and limits.renewal_budget is not None:
-            check(BUDGET_RENEWAL)
-            renew_times.append(t)
-            while renew_times[window_start] <= t - limits.renewal_window:
-                window_start += 1
-            in_window = len(renew_times) - window_start
-            allowed = limits.renewal_budget * limits.renewal_window
-            if in_window > allowed + FLOAT_SLACK:
-                violations.append(renewal_budget_violation(
-                    t, index, in_window, limits.renewal_window,
-                    limits.renewal_budget))
+    return audit_trace(obs.trace.events, capture=capture, limits=limits)
 
 
 # -- trace/wire cross-check ---------------------------------------------------
 
 
-def _audit_wire(spans: SpanSet, capture: Sequence[Dict[str, object]],
-                violations: List[Violation], check) -> None:
-    """Each notify.send must leave matching datagrams in the capture."""
+def _audit_wire(spans: SpanSet, capture: Sequence[Dict[str, object]]
+                ) -> Tuple[List[Violation], int]:
+    """Each notify.send must leave matching datagrams in the capture.
+
+    Returns the violations and the number of legs examined."""
+    violations: List[Violation] = []
+    examined = 0
     by_id: Dict[Tuple[object, str], List[Dict[str, object]]] = {}
     for record in capture:
         if record.get("opcode") != "CACHE-UPDATE" or record.get("qr"):
@@ -510,7 +940,7 @@ def _audit_wire(spans: SpanSet, capture: Sequence[Dict[str, object]],
     for leg in legs:
         if leg.msg_id is None:
             continue
-        check(WIRE)
+        examined += 1
         datagrams = by_id.get((leg.msg_id, leg.cache), [])
         where = f"id={leg.msg_id} cache={leg.cache} seq={leg.seq}"
         if not datagrams:
@@ -533,3 +963,4 @@ def _audit_wire(spans: SpanSet, capture: Sequence[Dict[str, object]],
                 events=(leg.send_index, leg.ack_index or leg.send_index),
                 message=(f"acknowledged but no captured datagram was "
                          f"delivered ({where})")))
+    return violations, examined

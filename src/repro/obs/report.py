@@ -148,7 +148,7 @@ def render_report(events: Sequence[TraceEvent],
     if audit is None:
         audit = audit_trace(events, capture=capture,
                             limits=limits or AuditLimits())
-    spans = audit.spans
+    spans = build_spans(events)
     summary = summarize_events(events)
     sections: List[str] = [f"# {title}", ""]
 

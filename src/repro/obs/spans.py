@@ -16,8 +16,12 @@ module rebuilds those stories:
 Matching is *positional*: events are consumed in trace order, so an
 acknowledgement only ever resolves a send that precedes it.  Events
 that tell no coherent story — an ack with no outstanding send, an
-expiry with no live lease — land in :attr:`SpanSet.orphans`, which the
-auditor (:mod:`repro.obs.audit`) treats as causality violations.
+expiry with no live lease — land in :attr:`SpanSet.orphans`.
+
+Spans are what reports render (``repro-obs spans|report``) and what the
+auditor's trace/wire cross-check reads; the verdict itself comes from
+:class:`repro.obs.audit.IncrementalAuditor`, which holds only open
+spans and classifies the same orphans as causality violations.
 """
 
 from __future__ import annotations
@@ -75,12 +79,6 @@ class NotificationLeg:
     def resolved(self) -> bool:
         """True when this leg reached an ack or a timeout."""
         return self.ack_index is not None or self.timeout_index is not None
-
-    @property
-    def resolution_index(self) -> Optional[int]:
-        """Event index of the ack/timeout, or None while unresolved."""
-        return self.ack_index if self.ack_index is not None \
-            else self.timeout_index
 
     @property
     def attempts(self) -> int:
@@ -149,41 +147,9 @@ class LeaseSpan:
     end_kind: Optional[str] = None  # "expire" | "revoke" | None (open)
 
     @property
-    def key(self) -> LeaseKey:
-        """The pair identity this span belongs to."""
-        return (self.cache, self.name, self.rrtype)
-
-    @property
     def open(self) -> bool:
         """True while no expire/revoke event has closed this span."""
         return self.end_index is None
-
-    def expiry_as_of(self, index: int) -> float:
-        """The promised expiry time, considering events before ``index``.
-
-        The grant starts the term; every renewal with an event index
-        below ``index`` restarts it.  This is what the server's lazily
-        swept table believed at that point in the trace.
-        """
-        start, length = self.granted_at, self.length
-        for renew_index, t, new_length in self.renewals:
-            if renew_index < index:
-                start, length = t, new_length
-        return start + length
-
-    def covers(self, t: float, index: int) -> bool:
-        """True when this lease was live at time ``t``, event ``index``.
-
-        Live means: granted strictly before ``index`` in trace order,
-        not yet ended (expire/revoke) before ``index``, and the promised
-        term still running (``t < expiry``, matching
-        :meth:`repro.core.lease.Lease.is_valid`'s strict bound).
-        """
-        if self.grant_index >= index:
-            return False
-        if self.end_index is not None and self.end_index < index:
-            return False
-        return t < self.expiry_as_of(index)
 
 
 @dataclasses.dataclass
@@ -205,25 +171,23 @@ class SpanSet:
                 return span
         return None
 
-    def holders_at(self, name: str, rrtype: str, t: float,
-                   index: int) -> List[LeaseSpan]:
-        """Lease spans live on (name, rrtype) at time ``t``/``index``."""
-        return [span for span in self.leases
-                if span.name == name and span.rrtype == rrtype
-                and span.covers(t, index)]
-
 
 def _as_seq(fields: Dict[str, object]) -> int:
     value = fields.get("seq")
     return int(value) if value is not None else 0
 
 
+def _lease_key(fields: Dict[str, object]) -> LeaseKey:
+    return (str(fields.get("cache")), str(fields.get("name")),
+            str(fields.get("rrtype")))
+
+
 def _leg_key(seq: int, cache: str, name: object,
              rrtype: object) -> Tuple[object, ...]:
     """A notification leg's matching identity: tracked legs match on
     (seq, cache), untracked (seq 0) legs on (cache, name, rrtype).
-    Shared with the streaming auditor, which must pair events with
-    legs exactly as :func:`build_spans` does."""
+    Shared with the auditor (:mod:`repro.obs.audit`), which must pair
+    events with legs exactly as :func:`build_spans` does."""
     return (seq, cache) if seq else (0, cache, name, rrtype)
 
 
@@ -233,9 +197,9 @@ def _closed(span: Optional[ChangeSpan]) -> bool:
     Its story is over — the notification module settles a change only
     after all its legs resolved, and a new change to the same record
     gets a fresh seq — so a later ``change.detected`` or ``notify.send``
-    carrying that seq belongs to no span.  The streaming auditor drops
-    the span's per-leg state at exactly this point, which is why the
-    rule lives here: both auditors must freeze the same spans.
+    carrying that seq belongs to no span.  The auditor retires the span
+    at exactly this point (``IncrementalAuditor._maybe_retire``): the
+    legs the wire check reads here must be the legs it audited.
     """
     return (span is not None and span.settled_index is not None
             and all(leg.resolved for leg in span.legs))
@@ -360,9 +324,7 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
             failed = fields.get("failed")
             span.settled_failed = int(failed) if failed is not None else None
         elif event in (LEASE_GRANT, LEASE_RENEW):
-            key: LeaseKey = (str(fields.get("cache")),
-                             str(fields.get("name")),
-                             str(fields.get("rrtype")))
+            key = _lease_key(fields)
             length = float(fields.get("length", 0.0))
             current = open_leases.get(key)
             if event == LEASE_RENEW and current is not None:
@@ -380,9 +342,7 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
             leases.append(span)
             open_leases[key] = span
         elif event in (LEASE_EXPIRE, LEASE_REVOKE):
-            key = (str(fields.get("cache")), str(fields.get("name")),
-                   str(fields.get("rrtype")))
-            current = open_leases.pop(key, None)
+            current = open_leases.pop(_lease_key(fields), None)
             if current is None:
                 orphans.append((index, f"{event} without a live lease"))
                 continue

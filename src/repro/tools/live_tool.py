@@ -144,10 +144,12 @@ def _arm_midrun_scrape(testbed: LiveTestbed, plane, scrape: dict) -> None:
 def _finish_telemetry(testbed: LiveTestbed, plane, scrape: dict) -> dict:
     """Close out the streaming plane and build its summary block.
 
-    The final incremental verdict must agree with the post-hoc batch
-    audit of the same trace — identical violation multiset and check
-    counts — and the endpoint must have served a parseable exposition;
-    either failure turns ``ok`` False (and the exit code nonzero).
+    The verdict the plane's auditor reached through the trace tap must
+    agree with a post-hoc audit of the recorded trace — identical
+    violation multiset and check counts.  Both run the same engine, so
+    agreement proves the *tap* delivered every event, once, in order.
+    The endpoint must also have served a parseable exposition; either
+    failure turns ``ok`` False (and the exit code nonzero).
     """
     plane.stop()
     if "body" not in scrape:
@@ -164,7 +166,7 @@ def _finish_telemetry(testbed: LiveTestbed, plane, scrape: dict) -> dict:
         except ValueError as exc:
             scrape_error = exc
     stream = plane.auditor.report()
-    batch = audit_trace(list(testbed.observability.trace.events))
+    batch = audit_trace(testbed.observability.trace.events)
 
     def _key(violation) -> tuple:
         return (violation.kind, violation.message, tuple(violation.events))

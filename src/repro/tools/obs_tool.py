@@ -14,11 +14,12 @@ cross-check, captures from :meth:`repro.obs.WireCapture.export_jsonl`):
 * ``spans`` — rebuild causal spans: per-change notification trees and
   per-pair lease lifecycles;
 * ``audit`` — run the protocol invariant checker (completeness,
-  termination, causality, budgets, staleness, trace/wire agreement);
-  exits 1 when any :class:`repro.obs.Violation` is found;
+  termination, causality, budgets, staleness, trace/wire agreement)
+  over the whole file; exits 1 when any :class:`repro.obs.Violation`
+  is found;
 * ``report`` — render the full markdown run report (overview,
   bucket-interpolated percentiles, per-domain timelines, audit);
-* ``tail`` — follow a *growing* trace file and audit it incrementally
+* ``tail`` — follow a *growing* trace file through the same auditor
   (:class:`repro.obs.IncrementalAuditor`): each poll feeds only the
   newly appended complete lines, prints a rolling verdict plus p50/p95
   consistency-window percentiles, and holds memory bounded no matter

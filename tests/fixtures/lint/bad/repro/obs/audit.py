@@ -1,7 +1,7 @@
-"""Seeded DCUP005: the streaming files carry the zero-cost contract."""
+"""Seeded DCUP005: the auditor carries the zero-cost contract."""
 
 
-class StreamingAuditor:
+class Auditor:
     def __init__(self):
         self.window_hist = None
         self.trace = None

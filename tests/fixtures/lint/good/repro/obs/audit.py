@@ -1,7 +1,7 @@
-"""Clean counterpart: the streaming plane guards every instrument."""
+"""Clean counterpart: the auditor guards every instrument."""
 
 
-class StreamingAuditor:
+class Auditor:
     def __init__(self):
         self.window_hist = None
         self.trace = None

@@ -34,7 +34,7 @@ EXPECTED_BAD = {
     "repro/net/unguarded.py": [("DCUP005", 11), ("DCUP005", 12),
                                ("DCUP005", 13)],
     "repro/obs/load.py": [("DCUP005", 10), ("DCUP005", 11)],
-    "repro/obs/streaming.py": [("DCUP005", 10), ("DCUP005", 11)],
+    "repro/obs/audit.py": [("DCUP005", 10), ("DCUP005", 11)],
     "repro/server/dispatch.py": [("DCUP007", 7)],
     "repro/sim/affinity.py": [("DCUP011", 15), ("DCUP011", 25),
                               ("DCUP011", 28)],

@@ -49,6 +49,7 @@ class TestGrantRenewRevoke:
         table.grant(CACHE_A, "w.x.com", RRType.A, now=20.0, length=10.0)
         assert table.stats.grants == 2
         assert table.stats.renewals == 0
+        assert table.stats.expirations == 1
         assert len(table) == 1
 
     def test_multiple_caches_per_record(self, table):
@@ -73,6 +74,16 @@ class TestGrantRenewRevoke:
         table.grant(CACHE_B, "a.x.com", RRType.A, now=0.0, length=100.0)
         names = {lease.name.to_text() for lease in table.leases_of(CACHE_A, 1.0)}
         assert names == {"a.x.com.", "b.x.com."}
+
+    def test_leases_of_skips_expired_but_records_stay_tracked(self, table):
+        table.grant(CACHE_A, "a.x.com", RRType.A, now=0.0, length=100.0)
+        table.grant(CACHE_A, "b.x.com", RRType.A, now=0.0, length=10.0)
+        held = table.leases_of(CACHE_A, now=50.0)
+        assert [lease.name for lease in held] == [Name.from_text("a.x.com")]
+        # Unswept, the expired lease's record is still in the track file.
+        assert set(table.tracked_records()) == {
+            (Name.from_text("a.x.com"), RRType.A),
+            (Name.from_text("b.x.com"), RRType.A)}
 
 
 class TestCapacity:
@@ -113,6 +124,7 @@ class TestSweepAndCounts:
         table.grant(CACHE_A, "b.x.com", RRType.A, 0.0, 1000.0)
         assert table.sweep(now=50.0) == 1
         assert len(table) == 1
+        assert table.stats.expirations == 1
 
     def test_active_count_with_now(self, table):
         table.grant(CACHE_A, "a.x.com", RRType.A, 0.0, 10.0)

@@ -112,7 +112,8 @@ class TestLivePlane:
             assert "dnscup_telemetry_audit_peak_tracked_spans" in samples
             assert samples["dnscup_telemetry_audit_violations"] == 0.0
             plane.stop()
-            # The streaming verdict is the batch verdict.
+            # The tap delivered every event, in order: the plane's
+            # verdict is the post-hoc verdict over the recorded trace.
             events = list(testbed.observability.trace.events)
             stream = plane.auditor.report()
             batch = audit_trace(events)

@@ -140,9 +140,7 @@ class TestSpans:
         assert spans.orphans == []
         first, second, third = spans.leases
         assert first.end_kind == "expire"
-        # The renewal restarted the term: live at t=12 (event index 2).
-        assert first.covers(12.0, 2)
-        assert not first.covers(16.0, 3)
+        assert [t for _index, t, _length in first.renewals] == [5.0]
         assert second.end_kind == "superseded"
         assert third.open
 
@@ -213,8 +211,8 @@ www  IN A   10.0.0.10
         simulator.run()
         report = audit_observability(obs, AuditLimits(storage_budget=10))
         assert report.ok, report.as_dict()
-        assert report.spans.change_for(1) is not None
-        assert len(report.spans.change_for(1).acked_legs()) == 1
+        span = build_spans(list(obs.trace)).change_for(1)
+        assert span is not None and len(span.acked_legs()) == 1
 
     @pytest.mark.parametrize("reply", [
         lambda update: make_response(update, Rcode.REFUSED),
@@ -269,7 +267,7 @@ www  IN A   10.0.0.10
         assert [fields["reason"] for fields in timeouts] == ["rejected"]
         report = audit_observability(obs, AuditLimits(storage_budget=10))
         assert report.ok, report.as_dict()
-        span = report.spans.change_for(1)
+        span = build_spans(list(obs.trace)).change_for(1)
         assert span.acked_legs() == [] and len(span.legs) == 1
         assert span.legs[0].timeout_reason == "rejected"
         assert (span.settled_acked, span.settled_failed) == (0, 1)
@@ -347,6 +345,30 @@ class TestAuditTampers:
         assert COMPLETENESS in report.kinds()
         assert any(CACHE_A in v.message and v.kind == COMPLETENESS
                    for v in report.violations)
+
+    @pytest.mark.parametrize("detected, owed", [
+        (9.0, True),    # inside the granted term
+        (12.0, True),   # past it, but the renewal restarted the term
+        (15.0, False),  # the renewed term ends at exactly 15: strict
+        (16.0, False),
+    ])
+    def test_holder_is_owed_a_notification_while_its_term_runs(
+            self, detected, owed):
+        lease = {"cache": CACHE_A, "name": NAME, "rrtype": "A",
+                 "length": 10.0}
+        events = [
+            (0.0, "lease.grant", lease),
+            (5.0, "lease.renew", lease),
+            (detected, "change.detected", {"seq": 1, "name": NAME,
+                                           "rrtype": "A"}),
+            (detected, "change.settled", {"seq": 1, "acked": 0,
+                                          "failed": 0}),
+        ]
+        report = audit_trace(events)
+        assert report.kinds() == ({COMPLETENESS} if owed else set())
+        # An expiry recorded before the detect ends the obligation too.
+        events.insert(2, (detected, "lease.expire", lease))
+        assert audit_trace(events).ok
 
     def test_overgranted_leases_is_budget_storage(self):
         report = audit_trace(clean_trace(),
