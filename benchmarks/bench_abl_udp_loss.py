@@ -56,10 +56,8 @@ def run_loss_level(loss_rate):
         # trace tells the full story and the auditor can correlate.
         change = RecordChange(origin, name, RRType.A, None, new,
                               simulator.now, seq=index + 1)
-        obs.trace.emit("change.detected", t=change.detected_at,
-                       seq=change.seq, zone=origin.to_text(),
-                       name=name.to_text(), rrtype=RRType.A.name,
-                       kind=change.kind)
+        obs.trace.emit("change.detected", change.detected_at, change.seq,
+                       origin, name, RRType.A, change.kind)
         module.on_change(change)
         simulator.run()
     return module, network, obs

@@ -7,7 +7,11 @@ tree* in agreement with the registry so schema drift is caught before a
 single run happens:
 
 * ``DCUP003`` — every literal (or registry-constant) event name passed
-  to a ``TraceBus.emit`` call must be a registry member;
+  to a ``TraceBus.emit`` call must be a registry member, and the call
+  must pass exactly that event's ``EVENT_FIELDS`` as positional
+  arguments after ``t`` — a positional record has no keywords to say
+  which value is which, so a dropped or extra argument would silently
+  shift every later field;
 * ``DCUP004`` — every registry member must be emitted somewhere in the
   scanned tree (a name nobody emits is a dead schema entry, usually a
   renamed event whose emitter kept the old spelling).
@@ -23,7 +27,7 @@ import ast
 from typing import Iterator, Optional
 
 from ..obs import trace as trace_module
-from ..obs.trace import EVENT_NAMES, TRACE_META
+from ..obs.trace import EVENT_FIELDS, EVENT_NAMES
 from .findings import Finding
 from .linter import ModuleInfo, ProjectContext, Rule, terminal_name
 
@@ -72,13 +76,35 @@ def _resolve_event_name(arg: ast.expr) -> Optional[str]:
     return value if isinstance(value, str) else None
 
 
+def _arity_problem(call: ast.Call, event: str) -> Optional[str]:
+    """How this emit's arguments miss ``EVENT_FIELDS[event]``, if they
+    do.  ``*args`` / ``**kwargs`` are dynamic: the runtime's job."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) \
+            or any(keyword.arg is None for keyword in call.keywords):
+        return None
+    keywords = {keyword.arg for keyword in call.keywords}
+    named = sorted(keywords - {"event", "t"})
+    if named:
+        return (f"passes {', '.join(named)} by keyword: fields are "
+                f"positional, in EVENT_FIELDS order")
+    # Positional arguments: the event name (unless by keyword), then
+    # ``t`` (unless by keyword), then the fields.
+    passed = len(call.args) - len({"event", "t"} - keywords)
+    schema = EVENT_FIELDS[event]
+    if passed == len(schema):
+        return None
+    return (f"passes {max(passed, 0)} field(s) after t but {event!r} has "
+            f"{len(schema)} ({', '.join(schema)})")
+
+
 class TraceEmitNameRule(Rule):
-    """DCUP003: emitted event names must belong to the registry."""
+    """DCUP003: emitted event names and field counts fit the registry."""
 
     code = "DCUP003"
     name = "trace-contract-unknown-event"
     summary = ("every literal event name passed to TraceBus.emit must be "
-               "a member of repro.obs.trace.EVENT_NAMES")
+               "a key of repro.obs.trace.EVENT_FIELDS, followed by t and "
+               "exactly that event's fields, positionally")
 
     def check(self, module: ModuleInfo,
               ctx: ProjectContext) -> Iterator[Finding]:
@@ -99,14 +125,19 @@ class TraceEmitNameRule(Rule):
             resolved = _resolve_event_name(arg)
             if resolved is None:
                 continue  # dynamic name: the runtime validator's job
-            if resolved in EVENT_NAMES or resolved == TRACE_META:
-                ctx.record_emit(resolved, module.display, node.lineno)
-            else:
+            if resolved not in EVENT_FIELDS:
                 yield self.finding(
                     module, node.lineno, node.col_offset,
                     f"event name {resolved!r} is not in the PROTOCOL.md "
                     f"§9 registry (repro.obs.trace.EVENT_NAMES): add it "
                     f"to the registry or fix the spelling")
+                continue
+            ctx.record_emit(resolved, module.display, node.lineno)
+            problem = _arity_problem(node, resolved)
+            if problem is not None:
+                yield self.finding(
+                    module, node.lineno, node.col_offset,
+                    f"emit of {resolved!r} {problem} (PROTOCOL.md §9)")
 
 
 class RegistryCoverageRule(Rule):

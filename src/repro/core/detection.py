@@ -140,9 +140,7 @@ class DetectionModule:
                               self.simulator.now,
                               seq=self.changes_detected)
         if self.trace is not None:
-            self.trace.emit("change.detected", t=change.detected_at,
-                            seq=change.seq, zone=origin.to_text(),
-                            name=name.to_text(), rrtype=rrtype.name,
-                            kind=change.kind)
+            self.trace.emit("change.detected", change.detected_at,
+                            change.seq, origin, name, rrtype, change.kind)
         for sink in list(self._sinks):
             sink(change)

@@ -115,10 +115,8 @@ class LeaseTable:
             if self.load_ledger is not None:
                 self.load_ledger.record(owner.to_text(), "renewal", now)
             if self.trace is not None:
-                self.trace.emit("lease.renew", t=now,
-                                cache=f"{cache[0]}:{cache[1]}",
-                                name=owner.to_text(),
-                                rrtype=rrtype.name, length=length)
+                self.trace.emit("lease.renew", now, cache, owner, rrtype,
+                                length)
             return existing
         if existing is not None:
             # Present but expired: reclaim before counting capacity.
@@ -128,10 +126,7 @@ class LeaseTable:
             self._active -= 1
             stats.expirations += 1
             if self.trace is not None:
-                self.trace.emit("lease.expire", t=now,
-                                cache=f"{cache[0]}:{cache[1]}",
-                                name=owner.to_text(),
-                                rrtype=rrtype.name)
+                self.trace.emit("lease.expire", now, cache, owner, rrtype)
         if self.capacity is not None and self._active >= self.capacity:
             self.sweep(now)
             if self._active >= self.capacity:
@@ -151,10 +146,7 @@ class LeaseTable:
         if self.load_ledger is not None:
             self.load_ledger.record(owner.to_text(), "query", now)
         if self.trace is not None:
-            self.trace.emit("lease.grant", t=now,
-                            cache=f"{cache[0]}:{cache[1]}",
-                            name=owner.to_text(),
-                            rrtype=rrtype.name, length=length)
+            self.trace.emit("lease.grant", now, cache, owner, rrtype, length)
         return lease
 
     def revoke(self, cache: Endpoint, name, rrtype: RRType) -> bool:
@@ -169,9 +161,7 @@ class LeaseTable:
             if not holders:
                 del self._by_record[key]
             if self.trace is not None:
-                self.trace.emit("lease.revoke",
-                                cache=f"{cache[0]}:{cache[1]}",
-                                name=key[0].to_text(), rrtype=key[1].name)
+                self.trace.emit("lease.revoke", None, cache, key[0], key[1])
             return True
         return False
 
@@ -185,10 +175,8 @@ class LeaseTable:
                 del holders[cache]
                 removed += 1
                 if self.trace is not None:
-                    self.trace.emit("lease.expire", t=now,
-                                    cache=f"{cache[0]}:{cache[1]}",
-                                    name=key[0].to_text(),
-                                    rrtype=key[1].name)
+                    self.trace.emit("lease.expire", now, cache, key[0],
+                                    key[1])
             if not holders:
                 del self._by_record[key]
         self._active -= removed

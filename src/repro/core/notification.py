@@ -177,10 +177,8 @@ class NotificationModule:
             self.load_ledger.record(name.to_text(), "notify", sent_at,
                                     depth=stats.in_flight)
         if self.trace is not None:
-            self.trace.emit("notify.send", t=sent_at, seq=seq,
-                            cache=f"{cache[0]}:{cache[1]}",
-                            name=name.to_text(), rrtype=rrtype.name,
-                            id=msg_id)
+            self.trace.emit("notify.send", sent_at, seq, cache, name, rrtype,
+                            msg_id)
         wire = template.with_id(msg_id)
         if self.tsig_key is not None:
             # Signing covers the patched ID, so each recipient's TSIG is
@@ -204,10 +202,8 @@ class NotificationModule:
                                     self.simulator.now,
                                     depth=self.stats.in_flight)
         if self.trace is not None:
-            self.trace.emit("notify.retransmit", seq=seq,
-                            cache=f"{cache[0]}:{cache[1]}",
-                            name=name.to_text(), rrtype=rrtype.name,
-                            id=msg_id, attempt=attempt)
+            self.trace.emit("notify.retransmit", None, seq, cache, name,
+                            rrtype, msg_id, attempt)
 
     def _on_ack(self, cache: Endpoint, name: Name, rrtype: RRType,
                 sent_at: float, payload: Optional[bytes],
@@ -250,10 +246,7 @@ class NotificationModule:
         if self.ack_rtt_hist is not None:
             self.ack_rtt_hist.observe(rtt)
         if self.trace is not None:
-            self.trace.emit("notify.ack", t=now, seq=seq,
-                            cache=f"{cache[0]}:{cache[1]}",
-                            name=name.to_text(), rrtype=rrtype.name,
-                            rtt=rtt)
+            self.trace.emit("notify.ack", now, seq, cache, name, rrtype, rtt)
         self._settle(seq, acked=True, at=now)
 
     def _record_failure(self, cache: Endpoint, name: Name, rrtype: RRType,
@@ -262,10 +255,8 @@ class NotificationModule:
         self.outcomes.append(NotificationOutcome(cache, name, rrtype,
                                                  acked=False, rtt=None))
         if self.trace is not None:
-            self.trace.emit("notify.timeout", seq=seq,
-                            cache=f"{cache[0]}:{cache[1]}",
-                            name=name.to_text(), rrtype=rrtype.name,
-                            reason=reason)
+            self.trace.emit("notify.timeout", None, seq, cache, name, rrtype,
+                            reason)
         self._settle(seq, acked=False)
 
     def _settle(self, seq: int, acked: bool,
@@ -297,8 +288,8 @@ class NotificationModule:
         if window is not None and self.window_hist is not None:
             self.window_hist.observe(window)
         if self.trace is not None:
-            self.trace.emit("change.settled", t=now, seq=seq, window=window,
-                            acked=progress.acked, failed=progress.failed)
+            self.trace.emit("change.settled", now, seq, window,
+                            progress.acked, progress.failed)
 
     # -- reporting ------------------------------------------------------------------
 

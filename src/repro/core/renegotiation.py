@@ -114,9 +114,8 @@ class RenegotiationAgent:
                                     key[0].to_text(), "renewal",
                                     resolver.now)
         if self.trace is not None:
-            self.trace.emit("renego.send", name=key[0].to_text(),
-                            rrtype=key[1].name, rate=current_rate,
-                            id=query.id)
+            self.trace.emit("renego.send", None, key[0], key[1],
+                            current_rate, query.id)
         resolver.upstream_socket.request(
             query.to_wire(), info.origin, query.id,
             lambda payload, src: self._on_response(key, info, current_rate,
@@ -131,16 +130,16 @@ class RenegotiationAgent:
         if payload is None:
             self.stats.failures += 1
             if self.trace is not None:
-                self.trace.emit("renego.fail", name=key[0].to_text(),
-                                rrtype=key[1].name, reason="timeout")
+                self.trace.emit("renego.fail", None, key[0], key[1],
+                                "timeout")
             return
         try:
             response = Message.from_wire(payload)
         except (WireFormatError, ValueError):
             self.stats.failures += 1
             if self.trace is not None:
-                self.trace.emit("renego.fail", name=key[0].to_text(),
-                                rrtype=key[1].name, reason="malformed")
+                self.trace.emit("renego.fail", None, key[0], key[1],
+                                "malformed")
             return
         # Freshness bonus: adopt the re-fetched answer either way.
         from ..dnslib import records_to_rrsets
@@ -154,9 +153,8 @@ class RenegotiationAgent:
                 llt=float(response.llt), rate_at_grant=current_rate)
             self.stats.leases_refreshed += 1
             if self.trace is not None:
-                self.trace.emit("renego.refresh", t=now,
-                                name=key[0].to_text(), rrtype=key[1].name,
-                                llt=float(response.llt))
+                self.trace.emit("renego.refresh", now, key[0], key[1],
+                                float(response.llt))
         else:
             # Declined: remember the shrunken rate so the agent does not
             # keep re-asking; the old lease simply runs out.
@@ -164,5 +162,4 @@ class RenegotiationAgent:
                 info, rate_at_grant=current_rate)
             self.stats.leases_lost += 1
             if self.trace is not None:
-                self.trace.emit("renego.lost", t=now,
-                                name=key[0].to_text(), rrtype=key[1].name)
+                self.trace.emit("renego.lost", now, key[0], key[1])

@@ -30,7 +30,7 @@ class Name:
     Name('example.com.')
     """
 
-    __slots__ = ("_labels", "_key", "_hash", "_wire")
+    __slots__ = ("_labels", "_key", "_hash", "_wire", "_text")
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(labels)
@@ -52,6 +52,7 @@ class Name:
         # operations off the tuple-hashing path.
         self._hash: int = hash(self._key)
         self._wire: Optional[Tuple[bytes, tuple]] = None
+        self._text: Optional[str] = None
 
     @staticmethod
     def _wire_length(labels: Sequence[str]) -> int:
@@ -106,6 +107,7 @@ class Name:
         parent._key = self._key[1:]
         parent._hash = hash(parent._key)
         parent._wire = None
+        parent._text = None
         return parent
 
     def child(self, label: str) -> "Name":
@@ -172,10 +174,12 @@ class Name:
     # -- text --------------------------------------------------------------
 
     def to_text(self) -> str:
-        """Master-file (presentation) rendering."""
-        if not self._labels:
-            return "."
-        return ".".join(self._labels) + "."
+        """Master-file (presentation) rendering (joined once, kept)."""
+        text = self._text
+        if text is None:
+            text = self._text = \
+                ".".join(self._labels) + "." if self._labels else "."
+        return text
 
     # -- dunder ------------------------------------------------------------
 

@@ -602,8 +602,8 @@ class AioNetwork:
             # of port-unreachable, counted the same way as in simulation.
             self.stats.datagrams_unreachable += 1
             if self.trace is not None:
-                self.trace.emit("net.unreachable", src=_ep(src), dst=_ep(dst),
-                                size=len(payload))
+                self.trace.emit("net.unreachable", None, src, dst,
+                                len(payload))
             if self.capture is not None:
                 self.capture.record(self.simulator.now, "udp", src, dst,
                                     payload, "unreachable")
@@ -614,8 +614,7 @@ class AioNetwork:
             # A full send buffer drops the datagram — that is UDP.
             self.stats.datagrams_lost += 1
             if self.trace is not None:
-                self.trace.emit("net.drop", src=_ep(src), dst=_ep(dst),
-                                size=len(payload))
+                self.trace.emit("net.drop", None, src, dst, len(payload))
             if self.capture is not None:
                 self.capture.record(self.simulator.now, "udp", src, dst,
                                     payload, "dropped")
@@ -631,8 +630,7 @@ class AioNetwork:
         self.stats.datagrams_delivered += 1
         self.stats.bytes_delivered += len(payload)
         if self.trace is not None:
-            self.trace.emit("net.deliver", src=_ep(src), dst=_ep(dst),
-                            size=len(payload))
+            self.trace.emit("net.deliver", None, src, dst, len(payload))
         if self.capture is not None:
             self.capture.record(self.simulator.now, "udp", src, dst,
                                 payload, "delivered")

@@ -214,15 +214,13 @@ class Network:
             stats.datagrams_duplicated += 1
             profile.stats.duplicated += 1
             if self.trace is not None:
-                self.trace.emit("net.duplicate", src=_ep(src), dst=_ep(dst),
-                                size=size)
+                self.trace.emit("net.duplicate", None, src, dst, size)
         for copy in range(copies):
             if profile.loss_rate and rng.random() < profile.loss_rate:
                 stats.datagrams_lost += 1
                 profile.stats.dropped += 1
                 if self.trace is not None:
-                    self.trace.emit("net.drop", src=_ep(src), dst=_ep(dst),
-                                    size=size)
+                    self.trace.emit("net.drop", None, src, dst, size)
                 if self.capture is not None:
                     self.capture.record(self.simulator.now, "udp", src, dst,
                                         payload, "dropped", dup=copy > 0)
@@ -241,8 +239,8 @@ class Network:
             self.stats.datagrams_unreachable += 1
             profile.stats.unreachable += 1
             if self.trace is not None:
-                self.trace.emit("net.unreachable", src=_ep(src),
-                                dst=_ep(dst), size=len(payload))
+                self.trace.emit("net.unreachable", None, src, dst,
+                                len(payload))
             if self.capture is not None:
                 self.capture.record(self.simulator.now, "udp", src, dst,
                                     payload, "unreachable", dup=dup)
@@ -252,8 +250,7 @@ class Network:
         stats.bytes_delivered += len(payload)
         profile.stats.delivered += 1
         if self.trace is not None:
-            self.trace.emit("net.deliver", src=_ep(src), dst=_ep(dst),
-                            size=len(payload))
+            self.trace.emit("net.deliver", None, src, dst, len(payload))
         if self.capture is not None:
             self.capture.record(self.simulator.now, "udp", src, dst,
                                 payload, "delivered", dup=dup)

@@ -91,6 +91,7 @@ from .spans import (
 from .trace import (
     CHANGE_DETECTED,
     CHANGE_SETTLED,
+    EVENT_FIELDS,
     EVENT_NAMES,
     LOAD_STORM_END,
     LOAD_STORM_START,
@@ -116,13 +117,12 @@ from .trace import (
     TraceBus,
     TraceEvent,
     load_trace_events,
-    merge_traces,
 )
 from .wiring import Observability
 
 __all__ = [
-    "TraceBus", "TraceEvent", "load_trace_events", "merge_traces",
-    "EVENT_NAMES", "TRACE_META",
+    "TraceBus", "TraceEvent", "load_trace_events",
+    "EVENT_FIELDS", "EVENT_NAMES", "TRACE_META",
     "LEASE_GRANT", "LEASE_RENEW", "LEASE_EXPIRE", "LEASE_REVOKE",
     "CHANGE_DETECTED", "CHANGE_SETTLED",
     "NOTIFY_SEND", "NOTIFY_RETRANSMIT", "NOTIFY_ACK", "NOTIFY_TIMEOUT",

@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .trace import (
     CHANGE_DETECTED,
+    EVENT_FIELDS,
     LEASE_EXPIRE,
     LEASE_GRANT,
     LEASE_RENEW,
@@ -30,7 +31,11 @@ from .trace import (
     NOTIFY_TIMEOUT,
     TRACE_META,
     TraceEvent,
+    fields_dict,
 )
+
+
+_RTT = EVENT_FIELDS[NOTIFY_ACK].index("rtt")
 
 
 def _running_stats(values: Iterable[float]) -> Dict[str, Optional[float]]:
@@ -74,17 +79,13 @@ def consistency_windows(events: Sequence[TraceEvent]
     last_ack: Dict[int, float] = {}
     settled_at: Dict[int, float] = {}
     for t, name, fields in events:
-        seq = fields.get("seq")
-        if seq is None:
-            continue
-        seq = int(seq)
-        if name == CHANGE_DETECTED:
-            detected[seq] = t
-        elif name == NOTIFY_ACK:
-            last_ack[seq] = t
-            settled_at[seq] = t
-        elif name == NOTIFY_TIMEOUT:
-            settled_at[seq] = t
+        # All three records open with ``seq`` (None: not correlated).
+        if name == CHANGE_DETECTED and fields[0] is not None:
+            detected[fields[0]] = t
+        elif name == NOTIFY_ACK and fields[0] is not None:
+            last_ack[fields[0]] = settled_at[fields[0]] = t
+        elif name == NOTIFY_TIMEOUT and fields[0] is not None:
+            settled_at[fields[0]] = t
     windows = [(seq, last_ack[seq] - detected[seq])
                for seq in detected if seq in last_ack]
     windows.sort(key=lambda item: (settled_at[item[0]], item[0]))
@@ -112,15 +113,14 @@ def summarize_events(events: Sequence[TraceEvent]) -> Dict[str, object]:
     """
     bus: Optional[Dict[str, object]] = None
     if any(name == TRACE_META for _t, name, _f in events):
-        bus = next(dict(fields) for _t, name, fields in events
-                   if name == TRACE_META)
+        bus = next(fields_dict(ev) for ev in events if ev[1] == TRACE_META)
         events = [ev for ev in events if ev[1] != TRACE_META]
     counts: Dict[str, int] = {}
     for _t, name, _fields in events:
         counts[name] = counts.get(name, 0) + 1
 
-    ack_rtts = [float(fields["rtt"]) for _t, name, fields in events
-                if name == NOTIFY_ACK and fields.get("rtt") is not None]
+    ack_rtts = [float(fields[_RTT]) for _t, name, fields in events
+                if name == NOTIFY_ACK and fields[_RTT] is not None]
     windows = [window for _seq, window in consistency_windows(events)]
 
     return {

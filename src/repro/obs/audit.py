@@ -71,8 +71,7 @@ from typing import (Any, Callable, ClassVar, Deque, Dict, Iterable, List,
 
 from .capture import FATE_DELIVERED
 from .metrics import Histogram
-from .spans import (LeaseKey, SpanSet, _as_seq, _leg_key, _lease_key,
-                    build_spans)
+from .spans import SpanSet, _leg_key, build_spans
 from .trace import (
     CHANGE_DETECTED,
     CHANGE_SETTLED,
@@ -85,6 +84,7 @@ from .trace import (
     NOTIFY_SEND,
     NOTIFY_TIMEOUT,
     TraceEvent,
+    field_text,
 )
 
 #: Violation kinds (a stable contract, PROTOCOL.md §9).
@@ -191,7 +191,13 @@ class AuditReport:
 #
 # PROTOCOL.md §9.3's message contract in one place: every violation the
 # auditor emits, permanent or pending, is built here, so a message or
-# evidence tuple has exactly one spelling.
+# evidence tuple has exactly one spelling.  ``cache`` / ``name`` /
+# ``rrtype`` arrive as the record held them and become text here, via
+# ``field_text`` (``str()`` of an endpoint tuple is not ``addr:port``).
+
+
+def _where(seq: int, cache: object) -> str:
+    return f"(seq={seq} cache={field_text(cache)})"
 
 
 def orphan_violation(index: int, reason: str) -> Violation:
@@ -201,31 +207,31 @@ def orphan_violation(index: int, reason: str) -> Violation:
 
 def unnotified_holder_violation(seq: int, detected_t: Optional[float],
                                 detected_index: int, grant_index: int,
-                                cache: str, name: object,
+                                cache: object, name: object,
                                 rrtype: object) -> Violation:
     return Violation(
         kind=COMPLETENESS, seq=seq, t=detected_t,
         events=(detected_index, grant_index),
-        message=(f"lease holder {cache} on {name}/{rrtype} never "
-                 f"notified for seq={seq}"))
+        message=(f"lease holder {field_text(cache)} on {field_text(name)}/"
+                 f"{field_text(rrtype)} never notified for seq={seq}"))
 
 
-def unresolved_leg_violation(seq: int, cache: str, send_t: float,
+def unresolved_leg_violation(seq: int, cache: object, send_t: float,
                              send_index: int) -> Violation:
     return Violation(
         kind=TERMINATION, seq=seq, t=send_t, events=(send_index,),
-        message=(f"notify.send to {cache} never resolved "
+        message=(f"notify.send to {field_text(cache)} never resolved "
                  f"to ack or timeout (seq={seq})"))
 
 
-def resolved_after_settled_violation(seq: int, cache: str,
+def resolved_after_settled_violation(seq: int, cache: object,
                                      settled_t: Optional[float],
                                      resolution_index: int,
                                      settled_index: int) -> Violation:
     return Violation(
         kind=TERMINATION, seq=seq, t=settled_t,
         events=(resolution_index, settled_index),
-        message=(f"leg to {cache} resolved after "
+        message=(f"leg to {field_text(cache)} resolved after "
                  f"change.settled (seq={seq})"))
 
 
@@ -238,62 +244,60 @@ def never_settled_violation(seq: int, detected_t: Optional[float],
                  f"{leg_count} holders but never settled"))
 
 
-def retransmit_early_violation(seq: int, cache: str, t: float,
+def retransmit_early_violation(seq: int, cache: object, t: float,
                                send_index: int, index: int) -> Violation:
     return Violation(
         kind=CAUSALITY, seq=seq, t=t, events=(send_index, index),
-        message=f"retransmit before its send (seq={seq} cache={cache})")
+        message=f"retransmit before its send {_where(seq, cache)}")
 
 
-def retransmit_attempt_violation(seq: int, cache: str, t: float,
+def retransmit_attempt_violation(seq: int, cache: object, t: float,
                                  send_index: int, index: int,
                                  attempt: int) -> Violation:
     return Violation(
         kind=CAUSALITY, seq=seq, t=t, events=(send_index, index),
-        message=(f"retransmit with attempt={attempt} < 2 "
-                 f"(seq={seq} cache={cache})"))
+        message=f"retransmit with attempt={attempt} < 2 {_where(seq, cache)}")
 
 
-def ack_before_send_violation(seq: int, cache: str, ack_t: float,
+def ack_before_send_violation(seq: int, cache: object, ack_t: float,
                               send_index: int, ack_index: int) -> Violation:
     return Violation(
         kind=CAUSALITY, seq=seq, t=ack_t, events=(send_index, ack_index),
-        message=f"ack timestamped before its send (seq={seq} cache={cache})")
+        message=f"ack timestamped before its send {_where(seq, cache)}")
 
 
-def ack_missing_rtt_violation(seq: int, cache: str, ack_t: float,
+def ack_missing_rtt_violation(seq: int, cache: object, ack_t: float,
                               ack_index: int) -> Violation:
     return Violation(
         kind=CAUSALITY, seq=seq, t=ack_t, events=(ack_index,),
-        message=f"ack carries no rtt field (seq={seq} cache={cache})")
+        message=f"ack carries no rtt field {_where(seq, cache)}")
 
 
-def rtt_mismatch_violation(seq: int, cache: str, send_t: float,
+def rtt_mismatch_violation(seq: int, cache: object, send_t: float,
                            ack_t: float, send_index: int, ack_index: int,
                            rtt: float) -> Violation:
     return Violation(
         kind=CAUSALITY, seq=seq, t=ack_t, events=(send_index, ack_index),
         message=(f"rtt={rtt!r} but ack-send timestamps give "
-                 f"{ack_t - send_t!r} (seq={seq} cache={cache})"))
+                 f"{ack_t - send_t!r} {_where(seq, cache)}"))
 
 
-def stale_holder_violation(seq: int, cache: str, ack_t: float,
+def stale_holder_violation(seq: int, cache: object, ack_t: float,
                            send_index: int, ack_index: int,
                            staleness: float, bound: float) -> Violation:
     return Violation(
         kind=STALENESS, seq=seq, t=ack_t, events=(send_index, ack_index),
         message=(f"holder stale {staleness:.6g}s > bound "
-                 f"{bound:.6g}s (seq={seq} cache={cache})"))
+                 f"{bound:.6g}s {_where(seq, cache)}"))
 
 
-def timeout_before_send_violation(seq: int, cache: str, timeout_t: float,
+def timeout_before_send_violation(seq: int, cache: object, timeout_t: float,
                                   send_index: int,
                                   timeout_index: int) -> Violation:
     return Violation(
         kind=CAUSALITY, seq=seq, t=timeout_t,
         events=(send_index, timeout_index),
-        message=(f"timeout timestamped before its send "
-                 f"(seq={seq} cache={cache})"))
+        message=f"timeout timestamped before its send {_where(seq, cache)}")
 
 
 def settled_acked_violation(seq: int, settled_t: Optional[float],
@@ -324,11 +328,11 @@ def settled_window_violation(seq: int, settled_t: Optional[float],
                  f"recomputation gives {window!r} (seq={seq})"))
 
 
-def untracked_unresolved_violation(cache: str, send_t: float,
+def untracked_unresolved_violation(cache: object, send_t: float,
                                    send_index: int) -> Violation:
     return Violation(
         kind=TERMINATION, t=send_t, events=(send_index,),
-        message=(f"untracked notify.send to {cache} never "
+        message=(f"untracked notify.send to {field_text(cache)} never "
                  f"resolved to ack or timeout"))
 
 
@@ -363,9 +367,7 @@ class _Leg:
     """One in-flight notification leg (forgotten once resolved)."""
 
     seq: int
-    cache: str
-    name: object
-    rrtype: object
+    cache: object
     send_index: int
     send_t: float
 
@@ -374,7 +376,6 @@ class _Leg:
 class _Lease:
     """The live lease on one (cache, name, rrtype) pair."""
 
-    cache: str
     grant_index: int
     start: float
     length: float
@@ -400,15 +401,15 @@ class _Change:
     #: evidence tuple).
     send_indices: List[int] = dataclasses.field(default_factory=list)
     #: Caches notified before the detect event (None once detected).
-    pre_detect_caches: Optional[Set[str]] = \
+    pre_detect_caches: Optional[Set[object]] = \
         dataclasses.field(default_factory=set)
     #: holder cache -> grant_index still owed a notify.send
     #: (None before the detect event).
-    pending_holders: Optional[Dict[str, int]] = None
+    pending_holders: Optional[Dict[object, int]] = None
     #: ``(send_index, ack_index, ack_t, cache)`` for acks that landed
     #: before the detect event — their staleness check needs
     #: ``detected_t`` and runs retroactively when the detect arrives.
-    pre_detect_acks: List[Tuple[int, int, float, str]] = \
+    pre_detect_acks: List[Tuple[int, int, float, object]] = \
         dataclasses.field(default_factory=list)
     acked: int = 0
     failed: int = 0
@@ -441,7 +442,9 @@ class IncrementalAuditor:
         #: Seqs of retired changes — all a late event naming one needs
         #: to know to be classified as an orphan.
         self._retired: Set[int] = set()
-        self._leases: Dict[LeaseKey, _Lease] = {}
+        #: (cache, name, rrtype) — a ``lease.*`` record's first three
+        #: fields — -> the live lease on that pair.
+        self._leases: Dict[Tuple[object, ...], _Lease] = {}
         #: send_index -> unresolved untracked (seq 0) leg, in send order.
         self._untracked: Dict[int, _Leg] = {}
         # Every unresolved leg again, by matching identity (_leg_key,
@@ -470,16 +473,24 @@ class IncrementalAuditor:
 
     def feed(self, event: TraceEvent) -> List[Violation]:
         """Consume one trace event; return newly-permanent violations."""
-        before = len(self._permanent)
-        self._consume(event)
-        return self._permanent[before:]
+        return self.feed_many((event,))
 
     def feed_many(self, events: Iterable[TraceEvent]) -> List[Violation]:
-        """Consume events in order; return newly-permanent violations."""
+        """Consume events in order; return newly-permanent violations.
+
+        Numbers each event and dispatches it on its name; a name absent
+        from ``_HANDLERS`` is counted and otherwise unread."""
         before = len(self._permanent)
-        consume = self._consume
-        for event in events:
-            consume(event)
+        handlers = self._HANDLERS
+        index = self.events_audited
+        try:
+            for t, name, fields in events:
+                handler = handlers.get(name)
+                if handler is not None:
+                    handler(self, index, t, fields)
+                index += 1
+        finally:
+            self.events_audited = index
         return self._permanent[before:]
 
     def pending_violations(self) -> List[Violation]:
@@ -529,15 +540,10 @@ class IncrementalAuditor:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _consume(self, event: TraceEvent) -> None:
-        """Number the event, dispatch it, note the high-water mark."""
-        t, name, fields = event
-        index = self.events_audited
-        self.events_audited = index + 1
-        handler = self._HANDLERS.get(name)
-        if handler is None:
-            return
-        handler(self, index, t, fields)
+    def _grew(self) -> None:
+        """Note the high-water mark; called by the handlers that can
+        add tracked state (send, grant, lease-less renew, detected) —
+        every other event only keeps or shrinks it."""
         tracked = self.tracked_spans
         if tracked > self.peak_tracked_spans:
             self.peak_tracked_spans = tracked
@@ -554,13 +560,11 @@ class IncrementalAuditor:
             change = self._changes[seq] = _Change(seq=seq)
         return change
 
-    def _open_leg(self, fields: Dict[str, object],
+    def _open_leg(self, fields: Tuple[object, ...],
                   resolve: bool = False) -> Optional[_Leg]:
         """The oldest unresolved leg this event can belong to;
         ``resolve`` also forgets it (an ack or timeout closes it)."""
-        seq = _as_seq(fields)
-        key = _leg_key(seq, str(fields.get("cache")), fields.get("name"),
-                       fields.get("rrtype"))
+        key = _leg_key(fields)
         queue = self._open_legs.get(key)
         if queue is None:
             return None
@@ -569,8 +573,8 @@ class IncrementalAuditor:
             queue.popleft()
             if not queue:
                 del self._open_legs[key]
-            if seq:
-                del self._changes[seq].unresolved[leg.send_index]
+            if leg.seq:
+                del self._changes[leg.seq].unresolved[leg.send_index]
             else:
                 del self._untracked[leg.send_index]
         return leg
@@ -578,8 +582,8 @@ class IncrementalAuditor:
     # -- change-span events --------------------------------------------------
 
     def _on_detected(self, index: int, t: float,
-                     fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
+                     fields: Tuple[object, ...]) -> None:
+        seq = fields[0]
         if not seq:
             self._orphan(index, "change.detected without seq")
             return
@@ -593,8 +597,8 @@ class IncrementalAuditor:
             return
         change.detected_index = index
         change.detected_t = t
-        change.name = fields.get("name")
-        change.rrtype = fields.get("rrtype")
+        change.name = fields[2]
+        change.rrtype = fields[3]
         if change.name is not None:
             # Completeness: snapshot the live holders right now —
             # granted before this event, not yet ended, term still
@@ -603,7 +607,7 @@ class IncrementalAuditor:
             # the set a change owed a notification, so it is final.
             rrtype = change.rrtype or ""
             holders = sorted(
-                (lease.grant_index, lease.cache)
+                (lease.grant_index, key[0])
                 for key, lease in self._leases.items()
                 if key[1] == change.name and key[2] == rrtype
                 and lease.grant_index < index
@@ -626,39 +630,38 @@ class IncrementalAuditor:
                         seq, cache, ack_t, send_index, ack_index,
                         staleness, self.limits.max_staleness))
         change.pre_detect_acks = []
+        self._grew()
 
     def _on_send(self, index: int, t: float,
-                 fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
+                 fields: Tuple[object, ...]) -> None:
+        seq = fields[0] or 0
         if seq in self._retired:
             self._orphan(index, f"notify.send after change settled seq={seq}")
             return
-        leg = _Leg(seq=seq, cache=str(fields.get("cache")),
-                   name=fields.get("name"), rrtype=fields.get("rrtype"),
-                   send_index=index, send_t=t)
+        leg = _Leg(seq=seq, cache=fields[1], send_index=index, send_t=t)
         self._check(TERMINATION)
         self._check(CAUSALITY)
-        self._open_legs.setdefault(
-            _leg_key(seq, leg.cache, leg.name, leg.rrtype),
-            collections.deque()).append(leg)
-        if not seq:
+        self._open_legs.setdefault(_leg_key(fields),
+                                   collections.deque()).append(leg)
+        if seq:
+            change = self._change_for(seq)
+            change.unresolved[index] = leg
+            change.send_indices.append(index)
+            if change.pre_detect_caches is not None:
+                change.pre_detect_caches.add(leg.cache)
+            elif change.pending_holders:
+                change.pending_holders.pop(leg.cache, None)
+        else:
             self._untracked[index] = leg
-            return
-        change = self._change_for(seq)
-        change.unresolved[index] = leg
-        change.send_indices.append(index)
-        if change.pre_detect_caches is not None:
-            change.pre_detect_caches.add(leg.cache)
-        elif change.pending_holders:
-            change.pending_holders.pop(leg.cache, None)
+        self._grew()
 
     def _on_retransmit(self, index: int, t: float,
-                       fields: Dict[str, object]) -> None:
+                       fields: Tuple[object, ...]) -> None:
         leg = self._open_leg(fields)
         if leg is None:
             self._orphan(index, "retransmit without outstanding send")
             return
-        attempt = int(fields.get("attempt", 0))
+        attempt = fields[5] or 0
         if t < leg.send_t:
             self._permanent.append(retransmit_early_violation(
                 leg.seq, leg.cache, t, leg.send_index, index))
@@ -667,13 +670,12 @@ class IncrementalAuditor:
                 leg.seq, leg.cache, t, leg.send_index, index, attempt))
 
     def _on_ack(self, index: int, t: float,
-                fields: Dict[str, object]) -> None:
+                fields: Tuple[object, ...]) -> None:
         leg = self._open_leg(fields, resolve=True)
         if leg is None:
             self._orphan(index, "ack without outstanding send")
             return
-        raw_rtt = fields.get("rtt")
-        rtt = float(raw_rtt) if raw_rtt is not None else None
+        rtt = fields[4]
         if t < leg.send_t:
             self._permanent.append(ack_before_send_violation(
                 leg.seq, leg.cache, t, leg.send_index, index))
@@ -706,7 +708,7 @@ class IncrementalAuditor:
         self._leg_closed(change, leg, index)
 
     def _on_timeout(self, index: int, t: float,
-                    fields: Dict[str, object]) -> None:
+                    fields: Tuple[object, ...]) -> None:
         leg = self._open_leg(fields, resolve=True)
         if leg is None:
             self._orphan(index, "timeout without outstanding send")
@@ -730,8 +732,8 @@ class IncrementalAuditor:
         self._maybe_retire(change)
 
     def _on_settled(self, index: int, t: float,
-                    fields: Dict[str, object]) -> None:
-        seq = _as_seq(fields)
+                    fields: Tuple[object, ...]) -> None:
+        seq = fields[0]
         if not seq:
             self._orphan(index, "change.settled without seq")
             return
@@ -742,15 +744,8 @@ class IncrementalAuditor:
             return
         change.settled_index = index
         change.settled_t = t
-        window = fields.get("window")
-        change.settled_window = \
-            float(window) if window is not None else None
-        acked = fields.get("acked")
-        change.settled_acked = \
-            int(acked) if acked is not None else None
-        failed = fields.get("failed")
-        change.settled_failed = \
-            int(failed) if failed is not None else None
+        (_seq, change.settled_window, change.settled_acked,
+         change.settled_failed) = fields
         self._maybe_retire(change)
 
     def _settlement_violations(self, change: _Change,
@@ -814,12 +809,11 @@ class IncrementalAuditor:
     # -- lease + budget events -----------------------------------------------
 
     def _on_grant(self, index: int, t: float,
-                  fields: Dict[str, object]) -> None:
+                  fields: Tuple[object, ...]) -> None:
         # Supersedes any span still open on the pair.
-        key = _lease_key(fields)
-        self._leases[key] = _Lease(
-            cache=key[0], grant_index=index, start=t,
-            length=float(fields.get("length", 0.0)))
+        self._leases[fields[:3]] = _Lease(
+            grant_index=index, start=t, length=fields[3] or 0.0)
+        self._grew()
         self._budget_active += 1
         if self.limits.storage_budget is not None:
             self._check(BUDGET_STORAGE)
@@ -829,9 +823,9 @@ class IncrementalAuditor:
                     self.limits.storage_budget))
 
     def _on_renew(self, index: int, t: float,
-                  fields: Dict[str, object]) -> None:
-        key = _lease_key(fields)
-        length = float(fields.get("length", 0.0))
+                  fields: Tuple[object, ...]) -> None:
+        key = fields[:3]
+        length = fields[3] or 0.0
         current = self._leases.get(key)
         if current is not None:
             # A renewal restarts the term from its own timestamp.
@@ -840,8 +834,9 @@ class IncrementalAuditor:
         else:
             # Renew without a live lease opens a fresh span, same as
             # build_spans' grant fallthrough.
-            self._leases[key] = _Lease(cache=key[0], grant_index=index,
-                                       start=t, length=length)
+            self._leases[key] = _Lease(grant_index=index, start=t,
+                                       length=length)
+            self._grew()
         if self.limits.renewal_budget is not None:
             self._check(BUDGET_RENEWAL)
             window = self.limits.renewal_window
@@ -857,8 +852,8 @@ class IncrementalAuditor:
                     self.limits.renewal_budget))
 
     def _on_lease_end(self, index: int, t: float,
-                      fields: Dict[str, object], event: str) -> None:
-        if self._leases.pop(_lease_key(fields), None) is None:
+                      fields: Tuple[object, ...], event: str) -> None:
+        if self._leases.pop(fields[:3], None) is None:
             self._orphan(index, f"{event} without a live lease")
         self._budget_active = max(0, self._budget_active - 1)
 

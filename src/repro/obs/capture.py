@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
+from .trace import opened
+
 #: DNS opcode number -> mnemonic, for readable captures.  6 is DNScup's
 #: CACHE-UPDATE (PROTOCOL.md §4); 5 is RFC 2136 UPDATE; 4 is NOTIFY.
 _OPCODE_NAMES = {0: "QUERY", 1: "IQUERY", 2: "STATUS", 4: "NOTIFY",
@@ -88,23 +90,13 @@ class WireCapture:
 
     def export_jsonl(self, target: Union[str, TextIO]) -> int:
         """Write the capture as JSON lines; returns lines written."""
-        own = isinstance(target, str)
-        stream: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-        try:
+        with opened(target, "w") as stream:
             for entry in self.records:
                 stream.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            return len(self.records)
-        finally:
-            if own:
-                stream.close()
+        return len(self.records)
 
 
 def load_capture(source: Union[str, TextIO]) -> List[Dict[str, object]]:
     """Read a capture JSONL back into record dicts."""
-    own = isinstance(source, str)
-    stream: TextIO = open(source) if own else source  # type: ignore[arg-type]
-    try:
+    with opened(source) as stream:
         return [json.loads(line) for line in stream if line.strip()]
-    finally:
-        if own:
-            stream.close()

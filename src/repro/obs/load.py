@@ -50,13 +50,14 @@ Metric and event names are part of the PROTOCOL.md §9.5 contract.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from .metrics import Histogram, Registry
-from .trace import (LEASE_GRANT, LEASE_RENEW, LOAD_STORM_END,
+from .trace import (EVENT_FIELDS, LEASE_GRANT, LEASE_RENEW, LOAD_STORM_END,
                     LOAD_STORM_START, NET_DELIVER, NOTIFY_RETRANSMIT,
-                    NOTIFY_SEND, RENEGO_SEND, TraceBus, TraceEvent)
+                    NOTIFY_SEND, RENEGO_SEND, TraceBus, TraceEvent, field_text)
 
 __all__ = [
     "CLASS_DELIVER", "CLASS_NOTIFY", "CLASS_QUERY", "CLASS_RENEWAL",
@@ -119,25 +120,19 @@ class DecayedRate:
         self.mass = 0.0
         self.last = -math.inf
 
-    def _decay(self, t: float) -> None:
-        if self.last == -math.inf:
-            self.last = t
-            return
-        dt = t - self.last
-        if dt > 0.0:
-            self.mass *= math.exp(-dt / self.tau)
-            self.last = t
-
     def add(self, t: float, amount: float = 1.0) -> float:
         """Decay to ``t``, add ``amount``, return the current rate."""
-        self._decay(t)
+        dt = t - self.last
+        if dt > 0.0:
+            # Never fed: dt is +inf and the empty mass stays 0.0 * 0.0.
+            self.mass *= math.exp(-dt / self.tau)
+            self.last = t
         self.mass += amount
         return self.mass / self.tau
 
     def rate(self, t: float) -> float:
         """The decayed arrival rate (events/s) as of ``t``."""
-        self._decay(t)
-        return self.mass / self.tau
+        return self.add(t, 0.0)
 
 
 def _tail_summary(tail: Histogram) -> Dict[str, Optional[float]]:
@@ -228,31 +223,27 @@ class StormDetector:
                 self._active[server] = episode
                 self.episodes.append(episode)
                 if self.trace is not None:
-                    self.trace.emit(LOAD_STORM_START, t=t, server=server,
-                                    rate=fast_rate, baseline=baseline)
+                    self.trace.emit(LOAD_STORM_START, t, server, fast_rate,
+                                    baseline)
             return
         episode.events += 1
         if fast_rate > episode.peak_rate:
             episode.peak_rate = fast_rate
         if fast_rate <= self.exit_ratio * baseline:
-            episode.end = t
-            del self._active[server]
-            if self.trace is not None:
-                self.trace.emit(LOAD_STORM_END, t=t, server=server,
-                                rate=fast_rate, peak=episode.peak_rate,
-                                events=episode.events,
-                                duration=t - episode.start)
+            self._end(server, t, fast_rate)
+
+    def _end(self, server: str, t: float, rate: float) -> None:
+        episode = self._active.pop(server)
+        episode.end = t
+        if self.trace is not None:
+            self.trace.emit(LOAD_STORM_END, t, server, rate,
+                            episode.peak_rate, episode.events,
+                            t - episode.start)
 
     def close_open(self, t: float) -> None:
         """End every still-open episode at ``t`` (end-of-run flush)."""
         for server in sorted(self._active):
-            episode = self._active.pop(server)
-            episode.end = t
-            if self.trace is not None:
-                self.trace.emit(LOAD_STORM_END, t=t, server=server,
-                                rate=0.0, peak=episode.peak_rate,
-                                events=episode.events,
-                                duration=t - episode.start)
+            self._end(server, t, 0.0)
 
     @property
     def active_count(self) -> int:
@@ -268,12 +259,6 @@ class _KeyLoad:
         self.count = 0
         self.rate = DecayedRate(tau)
         self.last = -math.inf
-
-    def record(self, t: float) -> None:
-        self.count += 1
-        self.rate.add(t)
-        if t > self.last:
-            self.last = t
 
 
 class _ServerLoad:
@@ -298,49 +283,20 @@ class _ServerLoad:
         return {"rate": self.rate_sketch, "gap": self.gap_sketch,
                 "depth": self.depth_sketch}[name]
 
-    def record(self, message_class: str, t: float,
-               depth: Optional[float]) -> Tuple[float, float]:
-        """Fold one arrival; returns (fast rate, slow rate) at ``t``."""
-        self.count += 1
-        self.classes[message_class] = self.classes.get(message_class, 0) + 1
-        if t >= self.last:
-            # ``last`` is monotone, like DecayedRate: an out-of-order
-            # arrival (tap feed over a merged trace, wall clock) records
-            # no gap and must not inflate the next in-order one.
-            if self.last != -math.inf:
-                self.gap_sketch.observe(t - self.last)
-            self.last = t
-        fast = self.fast.add(t)
-        slow = self.slow.add(t)
-        self.rate_sketch.observe(fast)
-        if fast > self.peak_rate:
-            self.peak_rate = fast
-        if depth is not None:
-            self.depth_sketch.observe(depth)
-        return fast, slow
-
 
 class LoadRecorder:
     """A ledger facet bound to one server's identity.
 
     The protocol modules owned by a single server (lease table,
-    notification module) hold one of these as their ``load_ledger``
-    hook so the hot path does not re-pass the server string per event.
+    notification module) hold one as their ``load_ledger`` hook: its
+    ``record(domain, message_class, t, depth=None)`` *is*
+    :meth:`LoadLedger.record` with the server already passed (a partial
+    on the instance: no frame for the hop, and call sites keep the
+    ``load_ledger.record(...)`` spelling DCUP005 checks the guard of).
     """
 
-    __slots__ = ("sink", "server")
-
     def __init__(self, ledger: "LoadLedger", server: str) -> None:
-        #: The backing ledger.  (Named ``sink`` rather than ``ledger``
-        #: so DCUP005 does not read this unconditional internal
-        #: delegation as an unguarded hook call — the guard lives at
-        #: the *callers* of this facet, which do hold ``load_ledger``.)
-        self.sink = ledger
-        self.server = server
-
-    def record(self, domain: str, message_class: str, t: float,
-               depth: Optional[float] = None) -> None:
-        self.sink.record(self.server, domain, message_class, t, depth)
+        self.record = functools.partial(ledger.record, server)
 
 
 #: Trace event name -> message class, for the tap/offline feed.
@@ -394,18 +350,43 @@ class LoadLedger:
         notification module's in-flight count) folded into the server's
         depth sketch.
         """
-        domain = self._fold_domain(domain)
-        key = (server, domain, message_class)
-        key_load = self.keys.get(key)
+        key_load = self.keys.get((server, domain, message_class))
         if key_load is None:
-            key_load = self.keys[key] = _KeyLoad(self.window)
-        key_load.record(t)
-        server_load = self.servers.get(server)
-        if server_load is None:
-            server_load = self.servers[server] = _ServerLoad(
+            # Only a miss folds the domain (a hit proves it was admitted):
+            # past the cap, new domains share the overflow key.
+            if domain not in self._domains:
+                if len(self._domains) >= self.domain_cap:
+                    domain = OVERFLOW_DOMAIN
+                else:
+                    self._domains.add(domain)
+            key = (server, domain, message_class)
+            key_load = self.keys.get(key)
+            if key_load is None:
+                key_load = self.keys[key] = _KeyLoad(self.window)
+        key_load.count += 1
+        key_load.rate.add(t)
+        if t > key_load.last:
+            key_load.last = t
+        load = self.servers.get(server)
+        if load is None:
+            load = self.servers[server] = _ServerLoad(
                 self.window, self.baseline)
-        fast, slow = server_load.record(message_class, t, depth)
-        self.detector.observe(server, t, fast, slow)
+        load.count += 1
+        load.classes[message_class] = load.classes.get(message_class, 0) + 1
+        if t >= load.last:
+            # ``last`` is monotone, like DecayedRate: an out-of-order
+            # arrival (tap feed over a merged trace, wall clock) records
+            # no gap and must not inflate the next in-order one.
+            if load.last != -math.inf:
+                load.gap_sketch.observe(t - load.last)
+            load.last = t
+        fast = load.fast.add(t)
+        load.rate_sketch.observe(fast)
+        if fast > load.peak_rate:
+            load.peak_rate = fast
+        if depth is not None:
+            load.depth_sketch.observe(depth)
+        self.detector.observe(server, t, fast, load.slow.add(t))
         self.total += 1
         if t > self.last:
             self.last = t
@@ -413,14 +394,6 @@ class LoadLedger:
     def recorder(self, server: str) -> LoadRecorder:
         """A facet bound to ``server``, for that server's module hooks."""
         return LoadRecorder(self, server)
-
-    def _fold_domain(self, domain: str) -> str:
-        if domain in self._domains:
-            return domain
-        if len(self._domains) >= self.domain_cap:
-            return OVERFLOW_DOMAIN
-        self._domains.add(domain)
-        return domain
 
     # -- the trace-tap feed --------------------------------------------------
 
@@ -436,13 +409,15 @@ class LoadLedger:
         message_class = _TAP_CLASSES.get(name)
         if message_class is None:
             return
-        if name == NET_DELIVER:
-            server = str(fields.get("dst", self.default_server))
-            domain = NO_DOMAIN
+        deliver = name == NET_DELIVER
+        by = fields[EVENT_FIELDS[name].index("dst" if deliver else "name")]
+        by = None if by is None else str(field_text(by))
+        if deliver:
+            self.record(by or self.default_server, NO_DOMAIN,
+                        message_class, t)
         else:
-            server = self.default_server
-            domain = str(fields.get("name", NO_DOMAIN))
-        self.record(server, domain, message_class, t)
+            self.record(self.default_server, by or NO_DOMAIN,
+                        message_class, t)
 
     # -- reading -------------------------------------------------------------
 

@@ -21,6 +21,8 @@ import operator
 from typing import (Callable, Dict, List, Optional, Sequence, TextIO, Tuple,
                     Union)
 
+from .trace import opened
+
 
 class Counter:
     """A monotonically increasing count."""
@@ -421,15 +423,10 @@ class Registry:
         registries with the same instrument values export identically
         no matter what order registration or merging happened in.
         """
-        own = isinstance(target, str)
-        stream: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-        try:
+        with opened(target, "w") as stream:
             json.dump(self.snapshot(), stream, indent=2, allow_nan=False,
                       sort_keys=True)
             stream.write("\n")
-        finally:
-            if own:
-                stream.close()
 
     def __repr__(self) -> str:
         return (f"Registry(counters={len(self._counters)}, "

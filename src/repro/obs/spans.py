@@ -19,9 +19,11 @@ that tell no coherent story — an ack with no outstanding send, an
 expiry with no live lease — land in :attr:`SpanSet.orphans`.
 
 Spans are what reports render (``repro-obs spans|report``) and what the
-auditor's trace/wire cross-check reads; the verdict itself comes from
-:class:`repro.obs.audit.IncrementalAuditor`, which holds only open
-spans and classifies the same orphans as causality violations.
+auditor's trace/wire cross-check reads, so a record's unrendered fields
+become text here (:func:`~repro.obs.trace.field_text`): matching runs
+on the raw values, span attributes hold strings.  The verdict itself
+comes from :class:`repro.obs.audit.IncrementalAuditor`, which holds only
+open spans and classifies the same orphans as causality violations.
 """
 
 from __future__ import annotations
@@ -42,11 +44,8 @@ from .trace import (
     NOTIFY_SEND,
     NOTIFY_TIMEOUT,
     TraceEvent,
+    field_text,
 )
-
-#: A lease span's identity: (cache endpoint, owner name, rrtype) — the
-#: (domain, nameserver) pair of the paper, typed per record.
-LeaseKey = Tuple[str, str, str]
 
 
 @dataclasses.dataclass
@@ -172,23 +171,13 @@ class SpanSet:
         return None
 
 
-def _as_seq(fields: Dict[str, object]) -> int:
-    value = fields.get("seq")
-    return int(value) if value is not None else 0
-
-
-def _lease_key(fields: Dict[str, object]) -> LeaseKey:
-    return (str(fields.get("cache")), str(fields.get("name")),
-            str(fields.get("rrtype")))
-
-
-def _leg_key(seq: int, cache: str, name: object,
-             rrtype: object) -> Tuple[object, ...]:
-    """A notification leg's matching identity: tracked legs match on
-    (seq, cache), untracked (seq 0) legs on (cache, name, rrtype).
+def _leg_key(fields: Tuple[object, ...]) -> Tuple[object, ...]:
+    """The matching identity of a ``notify.*`` record's leg (all four
+    open with seq, cache, name, rrtype): tracked legs match on (seq,
+    cache), untracked (seq 0 or absent) legs on (cache, name, rrtype).
     Shared with the auditor (:mod:`repro.obs.audit`), which must pair
     events with legs exactly as :func:`build_spans` does."""
-    return (seq, cache) if seq else (0, cache, name, rrtype)
+    return fields[:2] if fields[0] else (0,) + fields[1:4]
 
 
 def _closed(span: Optional[ChangeSpan]) -> bool:
@@ -215,7 +204,10 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
     changes: List[ChangeSpan] = []
     by_seq: Dict[int, ChangeSpan] = {}
     leases: List[LeaseSpan] = []
-    open_leases: Dict[LeaseKey, LeaseSpan] = {}
+    # A lease span's identity is (cache endpoint, owner name, rrtype) —
+    # the (domain, nameserver) pair of the paper, typed per record: the
+    # first three fields of every ``lease.*`` record, opaque hashables.
+    open_leases: Dict[Tuple[object, ...], LeaseSpan] = {}
     untracked: List[NotificationLeg] = []
     orphans: List[Tuple[int, str]] = []
 
@@ -233,10 +225,9 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
     # (the renewal-storm bench) would otherwise audit in O(n²).
     pending: Dict[Tuple[object, ...], Deque[NotificationLeg]] = {}
 
-    def open_leg(seq: int, cache: str, name: Optional[str],
-                 rrtype: Optional[str]) -> Optional[NotificationLeg]:
+    def open_leg(fields: Tuple[object, ...]) -> Optional[NotificationLeg]:
         """The oldest unresolved leg this event can belong to."""
-        queue = pending.get(_leg_key(seq, cache, name, rrtype))
+        queue = pending.get(_leg_key(fields))
         if queue is None:
             return None
         while queue and queue[0].resolved:
@@ -245,7 +236,7 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
 
     for index, (t, event, fields) in enumerate(events):
         if event == CHANGE_DETECTED:
-            seq = _as_seq(fields)
+            seq = fields[0]
             if not seq:
                 orphans.append((index, "change.detected without seq"))
                 continue
@@ -259,55 +250,50 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
                 continue
             span.detected_index = index
             span.detected_t = t
-            span.zone = fields.get("zone")
-            span.name = fields.get("name")
-            span.rrtype = fields.get("rrtype")
-            span.kind = fields.get("kind")
+            span.zone, span.name, span.rrtype, span.kind = map(
+                field_text, fields[1:])
         elif event == NOTIFY_SEND:
-            seq = _as_seq(fields)
+            seq, cache, name, rrtype, msg_id = fields
+            seq = seq or 0
             if seq and _closed(by_seq.get(seq)):
                 orphans.append(
                     (index, f"notify.send after change settled seq={seq}"))
                 continue
             leg = NotificationLeg(
-                seq=seq, cache=str(fields.get("cache")),
-                name=fields.get("name"), rrtype=fields.get("rrtype"),
-                msg_id=fields.get("id"), send_index=index, send_t=t)
+                seq=seq, cache=str(field_text(cache)),
+                name=field_text(name), rrtype=field_text(rrtype),
+                msg_id=msg_id, send_index=index, send_t=t)
             if seq:
                 span_for(seq).legs.append(leg)
             else:
                 untracked.append(leg)
-            pending.setdefault(
-                _leg_key(seq, leg.cache, leg.name, leg.rrtype),
-                collections.deque()).append(leg)
+            pending.setdefault(_leg_key(fields),
+                               collections.deque()).append(leg)
         elif event == NOTIFY_RETRANSMIT:
-            leg = open_leg(_as_seq(fields), str(fields.get("cache")),
-                           fields.get("name"), fields.get("rrtype"))
+            leg = open_leg(fields)
             if leg is None:
                 orphans.append((index, "retransmit without outstanding send"))
                 continue
-            leg.retransmits.append((index, t, int(fields.get("attempt", 0))))
+            leg.retransmits.append((index, t, int(fields[5] or 0)))
         elif event == NOTIFY_ACK:
-            leg = open_leg(_as_seq(fields), str(fields.get("cache")),
-                           fields.get("name"), fields.get("rrtype"))
+            leg = open_leg(fields)
             if leg is None:
                 orphans.append((index, "ack without outstanding send"))
                 continue
             leg.ack_index = index
             leg.ack_t = t
-            rtt = fields.get("rtt")
+            rtt = fields[4]
             leg.rtt = float(rtt) if rtt is not None else None
         elif event == NOTIFY_TIMEOUT:
-            leg = open_leg(_as_seq(fields), str(fields.get("cache")),
-                           fields.get("name"), fields.get("rrtype"))
+            leg = open_leg(fields)
             if leg is None:
                 orphans.append((index, "timeout without outstanding send"))
                 continue
             leg.timeout_index = index
             leg.timeout_t = t
-            leg.timeout_reason = fields.get("reason")
+            leg.timeout_reason = fields[4]
         elif event == CHANGE_SETTLED:
-            seq = _as_seq(fields)
+            seq = fields[0]
             if not seq:
                 orphans.append((index, "change.settled without seq"))
                 continue
@@ -317,15 +303,13 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
                 continue
             span.settled_index = index
             span.settled_t = t
-            window = fields.get("window")
+            _seq, window, acked, failed = fields
             span.settled_window = float(window) if window is not None else None
-            acked = fields.get("acked")
             span.settled_acked = int(acked) if acked is not None else None
-            failed = fields.get("failed")
             span.settled_failed = int(failed) if failed is not None else None
         elif event in (LEASE_GRANT, LEASE_RENEW):
-            key = _lease_key(fields)
-            length = float(fields.get("length", 0.0))
+            key = fields[:3]
+            length = float(fields[3] or 0.0)
             current = open_leases.get(key)
             if event == LEASE_RENEW and current is not None:
                 current.renewals.append((index, t, length))
@@ -337,12 +321,13 @@ def build_spans(events: Sequence[TraceEvent]) -> SpanSet:
                 current.end_index = index
                 current.end_t = t
                 current.end_kind = "superseded"
-            span = LeaseSpan(cache=key[0], name=key[1], rrtype=key[2],
+            cache, name, rrtype = (str(field_text(part)) for part in key)
+            span = LeaseSpan(cache=cache, name=name, rrtype=rrtype,
                              grant_index=index, granted_at=t, length=length)
             leases.append(span)
             open_leases[key] = span
         elif event in (LEASE_EXPIRE, LEASE_REVOKE):
-            current = open_leases.pop(_lease_key(fields), None)
+            current = open_leases.pop(fields[:3], None)
             if current is None:
                 orphans.append((index, f"{event} without a live lease"))
                 continue

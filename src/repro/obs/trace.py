@@ -2,27 +2,33 @@
 
 Every interesting protocol moment — a lease granted, a change detected,
 a CACHE-UPDATE retransmitted, a datagram dropped — can be emitted as one
-:class:`TraceEvent` onto a process-local :class:`TraceBus`.  The bus
-stamps each event with the simulator's virtual clock, keeps them in a
-bounded ring buffer, and exports JSON-lines for offline analysis with
-``repro-obs`` (:mod:`repro.tools.obs_tool`).
+:class:`TraceEvent` onto a process-local :class:`TraceBus`.  A record is
+``(t, name, fields)``, ``fields`` a *positional* tuple of *unrendered*
+values in :data:`EVENT_FIELDS` order — endpoints as the ``(addr, port)``
+tuples they already are, names as ``Name``, types as ``RRType`` — and
+``emit`` only stamps the virtual clock, appends to a bounded ring and
+calls the tap.  Text exists in two places: :meth:`TraceBus.export_jsonl`
+renders each value through :func:`field_text`, and
+:func:`load_trace_events` builds the same positional shape back from
+each JSON object, so a live ring and a loaded file are one shape with
+one code path for every reader.
 
 Tracing is **off by default** and zero-cost when off: instrumented
 components hold ``trace = None`` and guard every emission with a plain
-``is not None`` check, so no event object, string, or dict is ever built
-unless a bus is attached.  Event names are a stable contract documented
-in PROTOCOL.md §9.
+``is not None`` check, so not even the argument tuple is built unless a
+bus is attached.  Names and fields are a stable contract (PROTOCOL.md §9).
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
+import enum
 import json
 from typing import (
     Callable,
     Deque,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -74,29 +80,65 @@ PUSH_KEEPALIVE = "push.keepalive"
 LOAD_STORM_START = "load.storm.start"
 LOAD_STORM_END = "load.storm.end"
 
-#: Every event name the instrumentation can emit, for validation.
-EVENT_NAMES = frozenset({
-    LEASE_GRANT, LEASE_RENEW, LEASE_EXPIRE, LEASE_REVOKE,
-    CHANGE_DETECTED, CHANGE_SETTLED,
-    NOTIFY_SEND, NOTIFY_RETRANSMIT, NOTIFY_ACK, NOTIFY_TIMEOUT,
-    NET_DELIVER, NET_DROP, NET_DUPLICATE, NET_UNREACHABLE,
-    RENEGO_SEND, RENEGO_REFRESH, RENEGO_LOST, RENEGO_FAIL,
-    PUSH_SEND, PUSH_KEEPALIVE,
-    LOAD_STORM_START, LOAD_STORM_END,
-})
-
 #: Synthetic record written by ``export_jsonl(..., meta=True)`` carrying
 #: the bus's own bookkeeping (emitted/dropped/cleared/capacity) — not an
 #: instrumentation event, but accepted by strict loading.
 TRACE_META = "trace.meta"
 
+#: PROTOCOL.md §9's field column as data: event name -> the names of
+#: its fields, in the order ``emit`` takes them and a record holds them.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    LEASE_GRANT: ("cache", "name", "rrtype", "length"),
+    LEASE_RENEW: ("cache", "name", "rrtype", "length"),
+    LEASE_EXPIRE: ("cache", "name", "rrtype"),
+    LEASE_REVOKE: ("cache", "name", "rrtype"),
+    CHANGE_DETECTED: ("seq", "zone", "name", "rrtype", "kind"),
+    CHANGE_SETTLED: ("seq", "window", "acked", "failed"),
+    NOTIFY_SEND: ("seq", "cache", "name", "rrtype", "id"),
+    NOTIFY_RETRANSMIT: ("seq", "cache", "name", "rrtype", "id", "attempt"),
+    NOTIFY_ACK: ("seq", "cache", "name", "rrtype", "rtt"),
+    NOTIFY_TIMEOUT: ("seq", "cache", "name", "rrtype", "reason"),
+    NET_DELIVER: ("src", "dst", "size"),
+    NET_DROP: ("src", "dst", "size"),
+    NET_DUPLICATE: ("src", "dst", "size"),
+    NET_UNREACHABLE: ("src", "dst", "size"),
+    RENEGO_SEND: ("name", "rrtype", "rate", "id"),
+    RENEGO_REFRESH: ("name", "rrtype", "llt"),
+    RENEGO_LOST: ("name", "rrtype"),
+    RENEGO_FAIL: ("name", "rrtype", "reason"),
+    PUSH_SEND: ("subscriber", "name", "rrtype"),
+    PUSH_KEEPALIVE: ("count",),
+    LOAD_STORM_START: ("server", "rate", "baseline"),
+    LOAD_STORM_END: ("server", "rate", "peak", "events", "duration"),
+    TRACE_META: ("capacity", "emitted", "retained", "dropped", "cleared"),
+}
 
-#: One recorded event: (time, event name, fields).  A plain tuple keeps
-#: recording allocation-light; fields is the emit call's keyword dict.
-TraceEvent = Tuple[float, str, Dict[str, object]]
+#: Every event name the instrumentation can emit, for validation.
+EVENT_NAMES = frozenset(EVENT_FIELDS) - {TRACE_META}
+
+#: Per event, ``(field name, position)`` in the export's sorted-key order.
+_EXPORT_ORDER = {name: tuple(sorted((field, at) for at, field in
+                                    enumerate(fields)))
+                 for name, fields in EVENT_FIELDS.items()}
+
+#: One recorded event: (time, event name, fields).  ``fields`` is the
+#: emit call's own argument tuple (positional per :data:`EVENT_FIELDS`,
+#: unrendered); off-contract and loaded: its sorted (key, value) pairs.
+TraceEvent = Tuple[float, str, Tuple[object, ...]]
 
 #: A clock source: a zero-arg callable returning seconds of virtual time.
 Clock = Callable[[], float]
+
+
+@contextlib.contextmanager
+def opened(target: Union[str, TextIO], mode: str = "r") -> Iterator[TextIO]:
+    """``target`` as a stream: a path is opened here and closed on
+    exit, a stream is passed through and left open."""
+    if isinstance(target, str):
+        with open(target, mode) as stream:
+            yield stream
+    else:
+        yield target
 
 
 class TraceBus:
@@ -118,7 +160,8 @@ class TraceBus:
         self.events: Deque[TraceEvent] = collections.deque(maxlen=capacity)
         #: Events discarded by an explicit :meth:`clear` (deliberate).
         self.cleared = 0
-        self._emitted = 0
+        #: Total events emitted, including any that fell off the ring.
+        self.emitted = 0
         #: Streaming hook: called with each record tuple right after it
         #: is appended (clock already stamped).  The live telemetry
         #: plane (:mod:`repro.net.telemetry`) and the load ledger
@@ -169,11 +212,13 @@ class TraceBus:
             self.tap = fan_out
 
     def emit(self, event: str, t: Optional[float] = None,
-             **fields: object) -> None:
-        """Record one event, stamped ``t`` or the bus clock's now."""
+             *fields: object) -> None:
+        """Record one event, stamped ``t`` or (None) the bus clock's
+        now; ``fields`` in :data:`EVENT_FIELDS` order, unrendered
+        (``repro-lint`` DCUP003 checks the count at every call site)."""
         if t is None:
             t = self._clock() if self._clock is not None else 0.0
-        self._emitted += 1
+        self.emitted += 1
         record: TraceEvent = (t, event, fields)
         self.events.append(record)
         if self.tap is not None:
@@ -186,11 +231,6 @@ class TraceBus:
         return iter(self.events)
 
     @property
-    def emitted(self) -> int:
-        """Total events emitted, including any that fell off the ring."""
-        return self._emitted
-
-    @property
     def dropped(self) -> int:
         """Events that fell off the ring (overflow losses only).
 
@@ -198,13 +238,13 @@ class TraceBus:
         under :attr:`cleared` instead — a nonzero ``dropped`` always
         means the trace is an incomplete record of the run.
         """
-        return self._emitted - self.cleared - len(self.events)
+        return self.emitted - self.cleared - len(self.events)
 
     def stats(self) -> Dict[str, int]:
         """Bus bookkeeping: capacity/emitted/retained/dropped/cleared."""
         return {
             "capacity": self.capacity,
-            "emitted": self._emitted,
+            "emitted": self.emitted,
             "retained": len(self.events),
             "dropped": self.dropped,
             "cleared": self.cleared,
@@ -244,25 +284,68 @@ class TraceBus:
         so downstream tools can tell a complete trace from a truncated
         one (``repro-obs summarize`` reports it).
         """
-        own = isinstance(target, str)
-        stream: TextIO = open(target, "w") if own else target  # type: ignore[arg-type]
-        try:
-            written = 0
-            records: List[TraceEvent] = list(self.events)
-            if meta:
-                records.insert(0, (0.0, TRACE_META,
-                                   dict(self.stats())))
-            for t, name, fields in records:
-                record = {"t": t, "event": name}
-                for key in sorted(fields):
-                    record[key] = fields[key]
+        records: List[TraceEvent] = list(self.events)
+        if meta:
+            records.insert(0, (0.0, TRACE_META,
+                               pack_fields(TRACE_META, self.stats())))
+        with opened(target, "w") as stream:
+            for event in records:
+                record = {"t": event[0], "event": event[1],
+                          **fields_dict(event)}
                 stream.write(json.dumps(record, separators=(",", ":"))
                              + "\n")
-                written += 1
-            return written
-        finally:
-            if own:
-                stream.close()
+        return len(records)
+
+
+def field_text(value: object) -> object:
+    """One field value as the export spells it: an endpoint tuple as
+    ``addr:port``, a ``Name`` as its text, an ``RRType`` as its
+    mnemonic; JSON scalars — all a loaded trace holds — unchanged."""
+    if isinstance(value, tuple):
+        return f"{value[0]}:{value[1]}"
+    if isinstance(value, enum.Enum):
+        return value.name
+    to_text = getattr(value, "to_text", None)
+    return value if to_text is None else to_text()
+
+
+def fields_dict(event: TraceEvent) -> Dict[str, object]:
+    """The dict view of a record's fields: rendered, keys sorted."""
+    _t, name, fields = event
+    order = _EXPORT_ORDER.get(name)
+    if order is None:  # off-contract: already sorted (key, value) pairs
+        return dict(fields)  # type: ignore[arg-type]
+    return {field: field_text(fields[at]) for field, at in order}
+
+
+def pack_fields(name: str, obj: Dict[str, object]) -> Tuple[object, ...]:
+    """A field dict in the record's positional shape: an absent key is
+    a None slot; a name outside the contract keeps its sorted pairs."""
+    schema = EVENT_FIELDS.get(name)
+    if schema is None:
+        return tuple(sorted(obj.items()))
+    return tuple(map(obj.get, schema))
+
+
+def parse_trace_line(line: str, lineno: int,
+                     strict: bool = False) -> TraceEvent:
+    """One JSONL line as a :data:`TraceEvent`; anything malformed — not
+    JSON, not an object, no usable ``t`` / ``event``, or (``strict``) a
+    name outside the contract — is a ``ValueError("trace line N: …")``."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise TypeError("not a JSON object")
+        t = float(obj.pop("t"))
+        name = str(obj.pop("event"))
+    except KeyError as exc:
+        raise ValueError(f"trace line {lineno}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"trace line {lineno}: {exc}") from None
+    if strict and name not in EVENT_FIELDS:
+        raise ValueError(
+            f"trace line {lineno}: unknown event name {name!r}")
+    return (t, name, pack_fields(name, obj))
 
 
 def load_trace_events(source: Union[str, TextIO],
@@ -276,35 +359,7 @@ def load_trace_events(source: Union[str, TextIO],
     loads anything well-formed; callers can diff names against
     :data:`EVENT_NAMES` themselves to warn instead (``repro-obs`` does).
     """
-    own = isinstance(source, str)
-    stream: TextIO = open(source) if own else source  # type: ignore[arg-type]
-    try:
-        events: List[TraceEvent] = []
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            try:
-                t = float(record.pop("t"))
-                name = str(record.pop("event"))
-            except KeyError as exc:
-                raise ValueError(
-                    f"trace line {lineno}: missing {exc}") from None
-            if strict and name not in EVENT_NAMES and name != TRACE_META:
-                raise ValueError(
-                    f"trace line {lineno}: unknown event name {name!r}")
-            events.append((t, name, record))
-        return events
-    finally:
-        if own:
-            stream.close()
-
-
-def merge_traces(*traces: Iterable[TraceEvent]) -> List[TraceEvent]:
-    """Merge several event streams into one, sorted by timestamp."""
-    merged: List[TraceEvent] = []
-    for trace in traces:
-        merged.extend(trace)
-    merged.sort(key=lambda ev: ev[0])
-    return merged
+    with opened(source) as stream:
+        return [parse_trace_line(line, lineno, strict)
+                for lineno, line in enumerate(stream, start=1)
+                if line.strip()]

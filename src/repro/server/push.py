@@ -120,10 +120,8 @@ class PushService:
             for subscriber in holders:
                 self.stats.pushes_sent += 1
                 if self.trace is not None:
-                    self.trace.emit(
-                        "push.send",
-                        subscriber=f"{subscriber[0]}:{subscriber[1]}",
-                        name=name.to_text(), rrtype=rrtype.name)
+                    self.trace.emit("push.send", None, subscriber, name,
+                                    rrtype)
                 self.socket.send_stream(
                     template.with_id(next_message_id()), subscriber)
 
@@ -133,7 +131,7 @@ class PushService:
                        for holders in self._subscribers.values()
                        for subscriber in holders}
         if connections and self.trace is not None:
-            self.trace.emit("push.keepalive", count=len(connections))
+            self.trace.emit("push.keepalive", None, len(connections))
         for subscriber in connections:
             ping = make_query("keepalive.push.", RRType.TXT,
                               recursion_desired=False)

@@ -117,9 +117,8 @@ def simulate_lease_trace(events: Sequence[QueryEvent],
         if expiry is not None and event.time < expiry:
             continue  # absorbed by a valid lease
         if trace is not None and expiry is not None:
-            trace.emit(LEASE_EXPIRE, t=expiry,
-                       cache=f"ns{event.nameserver}",
-                       name=str(event.name), rrtype="A")
+            trace.emit(LEASE_EXPIRE, expiry, f"ns{event.nameserver}",
+                       str(event.name), "A")
             # Dropping the stale entry is behaviour-neutral: a missing
             # entry and an expired one both send the query upstream.
             del lease_expiry[pair]
@@ -132,10 +131,8 @@ def simulate_lease_trace(events: Sequence[QueryEvent],
             lease_terms.append(max(0.0, end - event.time))
             lease_expiry[pair] = event.time + length
             if trace is not None:
-                trace.emit(LEASE_GRANT, t=event.time,
-                           cache=f"ns{event.nameserver}",
-                           name=str(event.name), rrtype="A",
-                           length=length)
+                trace.emit(LEASE_GRANT, event.time, f"ns{event.nameserver}",
+                           str(event.name), "A", length)
     return LeaseSimResult(
         scheme=scheme, parameter=parameter, total_queries=total,
         upstream_messages=upstream, grants=grants,

@@ -31,6 +31,9 @@ cross-check, captures from :meth:`repro.obs.WireCapture.export_jsonl`):
 
 Every subcommand warns on stderr about event names outside the
 PROTOCOL.md §9 contract; ``--strict`` turns the warning into an error.
+A malformed trace line (not JSON, not an object, no usable ``t`` /
+``event``) is always an error: one ``error: trace line N: ...`` line on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ import time
 from typing import List, Optional, Sequence, Set
 
 from ..obs import (
-    EVENT_NAMES,
+    EVENT_FIELDS,
     LATENCY_BUCKETS,
-    TRACE_META,
     AuditLimits,
     AuditReport,
     Histogram,
@@ -60,7 +62,7 @@ from ..obs import (
     render_report,
     summarize_events,
 )
-from ..obs.trace import TraceEvent
+from ..obs.trace import TraceEvent, fields_dict, parse_trace_line
 from ..report import format_table, write_csv
 
 
@@ -173,26 +175,26 @@ def _limit_arguments(parser: argparse.ArgumentParser) -> None:
                         help="bound on per-holder staleness, seconds")
 
 
-def _load(path: str, strict: bool,
-          warned: Optional[Set[str]] = None) -> List[TraceEvent]:
-    """Load a trace, enforcing or warning about the name contract.
+def _warn_unknown(path: str, events: Sequence[TraceEvent],
+                  warned: Set[str]) -> None:
+    """Lax mode's warning: each event *name* outside the contract is
+    reported exactly once per invocation, however many records carry it
+    and however many traces or polls mention it (``diff`` loads two,
+    ``tail`` polls) — ``warned`` carries the already-reported names."""
+    unknown = sorted({name for _t, name, _f in events
+                      if name not in EVENT_FIELDS} - warned)
+    if unknown:
+        warned.update(unknown)
+        print(f"warning: {path}: events outside the PROTOCOL.md §9 "
+              f"contract: {', '.join(unknown)}", file=sys.stderr)
 
-    In lax mode each unknown event *name* is warned about exactly once
-    per invocation, however many records carry it and however many
-    traces mention it (``diff`` loads two) — ``warned`` carries the
-    already-reported names across calls.
-    """
+
+def _load(path: str, strict: bool, warned: Set[str]) -> List[TraceEvent]:
+    """Load a trace, enforcing (``strict``: the loader raises) or
+    warning about the name contract."""
     events = load_trace_events(path, strict=strict)
     if not strict:
-        unknown = sorted({name for _t, name, _f in events
-                          if name not in EVENT_NAMES
-                          and name != TRACE_META})
-        if warned is not None:
-            unknown = [name for name in unknown if name not in warned]
-            warned.update(unknown)
-        if unknown:
-            print(f"warning: {path}: events outside the PROTOCOL.md §9 "
-                  f"contract: {', '.join(unknown)}", file=sys.stderr)
+        _warn_unknown(path, events, warned)
     return events
 
 
@@ -266,9 +268,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     events = _load(args.trace, args.strict, args.warned)
-    rows = [(f"{t!r}", name,
-             " ".join(f"{key}={fields[key]}" for key in sorted(fields)))
-            for t, name, fields in events]
+    rows = [(f"{event[0]!r}", event[1],
+             " ".join(f"{key}={value}"
+                      for key, value in fields_dict(event).items()))
+            for event in events]
     write_csv(args.output, ("t", "event", "details"), rows)
     print(f"{len(rows)} events written to {args.output}")
     return 0
@@ -362,13 +365,15 @@ class TraceFollower:
     parses only *complete* lines; a trailing partial line — a writer
     caught mid-record — is buffered until its newline arrives, so a
     torn record is never parsed and nothing is ever re-read.  State is
-    one file offset plus at most one pending line, whatever the file
-    size: the memory bound ``tail`` advertises.
+    one file offset, a line count and at most one pending line,
+    whatever the file size: the memory bound ``tail`` advertises.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, strict: bool = False):
         self.path = path
+        self.strict = strict
         self._offset = 0
+        self._lineno = 0
         self._partial = ""
 
     def poll(self) -> List[TraceEvent]:
@@ -381,16 +386,11 @@ class TraceFollower:
             return []
         lines = (self._partial + chunk).split("\n")
         self._partial = lines.pop()
-        events: List[TraceEvent] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            t = float(record.pop("t"))
-            name = str(record.pop("event"))
-            events.append((t, name, record))
-        return events
+        first = self._lineno + 1
+        self._lineno += len(lines)
+        return [parse_trace_line(line, lineno, self.strict)
+                for lineno, line in enumerate(lines, start=first)
+                if line.strip()]
 
 
 def _tail_status(auditor: IncrementalAuditor, window_hist: Histogram,
@@ -442,7 +442,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     window_hist = Histogram("notify.consistency_window", LATENCY_BUCKETS)
     auditor = IncrementalAuditor(limits=_limits(args),
                                  window_hist=window_hist)
-    follower = TraceFollower(args.trace)
+    follower = TraceFollower(args.trace, args.strict)
     idle = 0.0
     while True:
         try:
@@ -451,19 +451,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
             batch = []
         if batch:
             idle = 0.0
-            unknown = sorted({name for _t, name, _f in batch
-                              if name not in EVENT_NAMES
-                              and name != TRACE_META
-                              and name not in args.warned})
-            if unknown:
-                args.warned.update(unknown)
-                message = (f"{args.trace}: events outside the "
-                           f"PROTOCOL.md §9 contract: "
-                           f"{', '.join(unknown)}")
-                if args.strict:
-                    print(f"error: {message}", file=sys.stderr)
-                    return 2
-                print(f"warning: {message}", file=sys.stderr)
+            if not args.strict:
+                _warn_unknown(args.trace, batch, args.warned)
             fresh: List[Violation] = []
             for event in batch:
                 fresh.extend(auditor.feed(event))
@@ -564,7 +553,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                "diff": cmd_diff, "spans": cmd_spans,
                "audit": cmd_audit, "report": cmd_report,
                "tail": cmd_tail, "load": cmd_load}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:  # a malformed or off-contract trace line
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

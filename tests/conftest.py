@@ -6,6 +6,7 @@ import pytest
 
 from repro.dnslib import A, Name, NS, RRSet, RRType, SOA
 from repro.net import Host, Network, Simulator
+from repro.obs.trace import pack_fields
 from repro.zone import Zone, load_zone
 
 EXAMPLE_ZONE_TEXT = """\
@@ -25,6 +26,19 @@ text    IN TXT "hello world"
 sub     IN NS  ns1.sub
 ns1.sub IN A   10.0.1.1
 """
+
+
+def pack(events):
+    """Hand-built ``(t, name, {field: value})`` events in the bus's
+    record shape — positional fields — through the trace loader's own
+    ``pack_fields``: a key the dict lacks is a ``None`` slot, exactly
+    what loading a JSONL line without it gives."""
+    return [(t, name, pack_fields(name, fields)) for t, name, fields in events]
+
+
+def emit_dict(bus, event, t=None, **fields):
+    """``bus.emit`` for a test that names only the fields it cares about."""
+    bus.emit(event, t, *pack_fields(event, fields))
 
 
 @pytest.fixture

@@ -7,16 +7,16 @@ class Lifecycle:
 
     def grant(self, now):
         if self.trace is not None:
-            self.trace.emit("lease.grant", t=now)
+            self.trace.emit("lease.grant", now, "c:53", "n.", "A", 60.0)
 
     def renew(self, now):
         if self.trace is not None:
-            self.trace.emit("lease.renew", t=now)
+            self.trace.emit("lease.renew", now, "c:53", "n.", "A", 60.0)
 
     def expire(self, now):
         if self.trace is not None:
-            self.trace.emit("lease.expire", t=now)
+            self.trace.emit("lease.expire", now, "c:53", "n.", "A")
 
     def supersede(self, now):
         if self.trace is not None:
-            self.trace.emit("lease.revoke", t=now)
+            self.trace.emit("lease.revoke", now, "c:53", "n.", "A")

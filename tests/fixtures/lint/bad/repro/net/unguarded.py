@@ -8,6 +8,6 @@ class Transport:
         self.rtt_hist = None
 
     def deliver(self, now, src, dst, payload, rtt):
-        self.trace.emit("net.deliver", t=now, src=src, dst=dst)
+        self.trace.emit("net.deliver", now, src, dst, len(payload))
         self.capture.record(now, "udp", src, dst, payload, "delivered")
         self.rtt_hist.observe(rtt)

@@ -8,4 +8,4 @@ class Auditor:
 
     def retire(self, window):
         self.window_hist.observe(window)
-        self.trace.emit("change.settled", window=window)
+        self.trace.emit("change.settled", None, 1, window, 1, 0)

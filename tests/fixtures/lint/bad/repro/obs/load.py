@@ -8,4 +8,4 @@ class NotificationModule:
 
     def notify(self, name, now):
         self.load_ledger.record(name, "notify", now)
-        self.trace.emit("load.storm.start", t=now, server=name)
+        self.trace.emit("load.storm.start", now, name, 80.0, 1.0)

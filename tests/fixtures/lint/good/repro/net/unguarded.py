@@ -9,7 +9,7 @@ class Transport:
 
     def deliver(self, now, src, dst, payload, rtt):
         if self.trace is not None:
-            self.trace.emit("net.deliver", t=now, src=src, dst=dst)
+            self.trace.emit("net.deliver", now, src, dst, len(payload))
         if self.capture is not None:
             self.capture.record(now, "udp", src, dst, payload, "delivered")
         if self.rtt_hist is not None:

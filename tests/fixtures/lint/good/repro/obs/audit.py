@@ -10,4 +10,4 @@ class Auditor:
         if self.window_hist is not None:
             self.window_hist.observe(window)
         if self.trace is not None:
-            self.trace.emit("change.settled", window=window)
+            self.trace.emit("change.settled", None, 1, window, 1, 0)

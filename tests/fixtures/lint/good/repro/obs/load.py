@@ -10,4 +10,4 @@ class NotificationModule:
         if self.load_ledger is not None:
             self.load_ledger.record(name, "notify", now)
         if self.trace is not None:
-            self.trace.emit("load.storm.start", t=now, server=name)
+            self.trace.emit("load.storm.start", now, name, 80.0, 1.0)

@@ -13,7 +13,7 @@ import textwrap
 import pytest
 
 from repro.analysis import lint_paths, render_json
-from repro.obs.trace import EVENT_NAMES
+from repro.obs.trace import EVENT_FIELDS, EVENT_NAMES
 from repro.tools import lint_tool
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -25,7 +25,7 @@ EXPECTED_BAD = {
     "repro/core/badsuppress.py": [("DCUP001", 11), ("DCUP008", 11)],
     "repro/core/fsm.py": [("DCUP013", 3), ("DCUP013", 9)],
     "repro/core/fsmdispatch.py": [("DCUP013", 22)],
-    "repro/core/tracename.py": [("DCUP003", 13)],
+    "repro/core/tracename.py": [("DCUP003", 14), ("DCUP003", 20)],
     "repro/core/unseeded.py": [("DCUP002", 7), ("DCUP002", 11)],
     "repro/core/wallclock.py": [("DCUP001", 8), ("DCUP001", 9)],
     "repro/net/blocking.py": [("DCUP009", 7), ("DCUP009", 8),
@@ -83,7 +83,8 @@ class TestRegistryCoverage:
         (obs / "trace.py").write_text("EVENT_NAMES = frozenset()\n")
         lines = ["def emit_all(bus):"]
         for name in sorted(emitted_names):
-            lines.append(f"    bus.emit({name!r})")
+            fields = ", 0" * len(EVENT_FIELDS[name])
+            lines.append(f"    bus.emit({name!r}, None{fields})")
         if len(lines) == 1:
             lines.append("    pass")
         (tools / "emitall.py").write_text("\n".join(lines) + "\n")
@@ -107,7 +108,8 @@ class TestRegistryCoverage:
         tools = tmp_path / "repro" / "tools"
         tools.mkdir(parents=True)
         (tools / "emitone.py").write_text(
-            "def emit_one(bus):\n    bus.emit('lease.grant')\n")
+            "def emit_one(bus):\n"
+            "    bus.emit('lease.grant', None, 'c', 'n', 'A', 60.0)\n")
         assert lint_paths([tmp_path]) == []
 
 

@@ -91,6 +91,17 @@ class TestCaseInsensitivity:
     def test_presentation_preserves_case(self):
         assert Name.from_text("WWW.example.com").to_text() == "WWW.example.com."
 
+    def test_presentation_text_is_joined_once(self):
+        name = Name.from_text("WwW.Example.COM")
+        assert name.to_text() is name.to_text()
+        # parent() builds through __new__: its text slot must exist too,
+        # and keep the spelling.
+        parent = name.parent()
+        assert parent.to_text() == "Example.COM."
+        assert parent.to_text() is parent.to_text()
+        assert parent.parent().parent().to_text() == "."
+        assert Name.root().to_text() == "."
+
 
 class TestStructure:
     def test_parent(self):

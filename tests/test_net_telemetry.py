@@ -140,8 +140,8 @@ class TestLivePlane:
             # An orphan ack — no grant, change, or send before it — is
             # a causality violation the moment the tap feeds it.
             testbed.observability.trace.emit(
-                "notify.ack", seq=99, cache="10.9.9.9:53",
-                name="phantom.example.com.", rrtype="A", rtt=0.001)
+                "notify.ack", None, 99, ("10.9.9.9", 53),
+                "phantom.example.com.", "A", 0.001)
             with pytest.raises(TelemetryError, match="causality"):
                 testbed.simulator.run()
 
@@ -149,7 +149,7 @@ class TestLivePlane:
         with make_live_testbed(SMALL) as testbed:
             plane = testbed.enable_telemetry(interval=0.05, fail_fast=False)
             testbed.observability.trace.emit(
-                "notify.ack", seq=99, cache="10.9.9.9:53",
-                name="phantom.example.com.", rrtype="A", rtt=0.001)
+                "notify.ack", None, 99, ("10.9.9.9", 53),
+                "phantom.example.com.", "A", 0.001)
             testbed.simulator.run()
             assert [v.kind for v in plane.violations] == ["causality"]

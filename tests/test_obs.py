@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DNScupConfig, DynamicLeasePolicy, attach_dnscup
-from repro.dnslib import make_query, RRType
+from repro.dnslib import make_query, Name, RRType
 from repro.net import Host, LinkProfile, Network, Simulator
 from repro.obs import (
     EVENT_NAMES,
@@ -23,30 +23,36 @@ from repro.obs import (
     flatten_summary,
     load_capture,
     load_trace_events,
-    merge_traces,
     sniff_header,
     summarize_events,
 )
+from repro.obs.trace import EVENT_FIELDS, fields_dict
 from repro.server import AuthoritativeServer, RecursiveResolver, StubResolver
 from repro.zone import load_zone
+from tests.conftest import pack
+
+
+#: One datagram's unrendered ``net.*`` fields: src, dst, size.
+DATAGRAM = (("10.0.0.1", 53), ("10.0.0.2", 40000), 44)
 
 
 class TestTraceBus:
     def test_stamps_with_simulator_clock(self, simulator):
         bus = TraceBus(simulator)
-        simulator.schedule_at(5.0, lambda: bus.emit("lease.grant", n=1))
+        simulator.schedule_at(5.0,
+                              lambda: bus.emit("push.keepalive", None, 1))
         simulator.run()
-        assert list(bus) == [(5.0, "lease.grant", {"n": 1})]
+        assert list(bus) == [(5.0, "push.keepalive", (1,))]
 
     def test_explicit_timestamp_wins(self, simulator):
         bus = TraceBus(simulator)
-        bus.emit("lease.grant", t=42.0)
-        assert list(bus) == [(42.0, "lease.grant", {})]
+        bus.emit("push.keepalive", 42.0, 3)
+        assert list(bus) == [(42.0, "push.keepalive", (3,))]
 
     def test_clockless_bus_defaults_to_zero(self):
         bus = TraceBus()
-        bus.emit("net.drop")
-        assert list(bus) == [(0.0, "net.drop", {})]
+        bus.emit("net.drop", None, *DATAGRAM)
+        assert list(bus) == [(0.0, "net.drop", DATAGRAM)]
 
     def test_ring_buffer_drops_oldest(self):
         bus = TraceBus(capacity=3)
@@ -87,13 +93,13 @@ class TestTraceBus:
     def test_export_meta_record_carries_stats(self):
         bus = TraceBus(capacity=2)
         for i in range(3):
-            bus.emit("net.deliver", t=float(i))
+            bus.emit("net.deliver", float(i), *DATAGRAM)
         buf = io.StringIO()
         assert bus.export_jsonl(buf, meta=True) == 3  # meta + 2 retained
         buf.seek(0)
         events = load_trace_events(buf, strict=True)
         assert events[0][1] == "trace.meta"
-        assert events[0][2]["dropped"] == 1
+        assert fields_dict(events[0])["dropped"] == 1
         summary = summarize_events(events)
         assert summary["bus"]["dropped"] == 1
         assert summary["bus"]["cleared"] == 0
@@ -103,7 +109,7 @@ class TestTraceBus:
 
     def test_default_export_has_no_meta_record(self):
         bus = TraceBus()
-        bus.emit("net.deliver", t=0.0)
+        bus.emit("net.deliver", 0.0, *DATAGRAM)
         buf = io.StringIO()
         assert bus.export_jsonl(buf) == 1
         assert summarize_events(load_trace_events(
@@ -117,19 +123,53 @@ class TestTraceBus:
             load_trace_events(io.StringIO(bad), strict=True)
         assert len(load_trace_events(io.StringIO(good), strict=True)) == 1
 
+    @pytest.mark.parametrize("line, problem", [
+        ("3", "not a JSON object"),
+        ("[1,2]", "not a JSON object"),
+        ('{"t": null, "event": "net.drop"}', "float"),
+        ('{"t": 2.0, "event": "net.dr', "Unterminated string"),
+        ('{"t": 2.0}', "missing 'event'"),
+    ], ids=["number", "array", "null-t", "truncated", "no-event"])
+    def test_malformed_line_is_a_value_error_naming_the_line(
+            self, line, problem):
+        # Each used to escape as AttributeError / TypeError / a
+        # JSONDecodeError with no trace line number.
+        text = '{"t":1.0,"event":"push.keepalive","count":1}\n\n' + line
+        for strict in (False, True):
+            with pytest.raises(ValueError) as caught:
+                load_trace_events(io.StringIO(text), strict=strict)
+            assert type(caught.value) is ValueError
+            assert str(caught.value).startswith("trace line 3: ")
+            assert problem in str(caught.value)
+
     def test_jsonl_round_trip(self):
         bus = TraceBus()
-        bus.emit("notify.send", t=1.5, seq=1, cache="10.0.0.1:53")
-        bus.emit("notify.ack", t=1.6, seq=1, rtt=0.1)
+        leg = (1, "10.0.0.1:53", "www.example.com.", "A")
+        bus.emit("notify.send", 1.5, *leg, 77)
+        bus.emit("notify.ack", 1.6, *leg, 0.1)
         buf = io.StringIO()
         assert bus.export_jsonl(buf) == 2
         buf.seek(0)
+        # Fields that are already text load back as the record held them.
         assert load_trace_events(buf) == list(bus)
+
+    def test_export_renders_unrendered_fields(self):
+        bus = TraceBus()
+        bus.emit("lease.grant", 2.0, ("10.0.0.2", 53),
+                 Name.from_text("WWW.example.com"), RRType.A, 60.0)
+        buf = io.StringIO()
+        bus.export_jsonl(buf)
+        assert buf.getvalue() == (
+            '{"t":2.0,"event":"lease.grant","cache":"10.0.0.2:53",'
+            '"length":60.0,"name":"WWW.example.com.","rrtype":"A"}\n')
+        # The ring still holds the values, not their text.
+        assert bus.events[0][2][0] == ("10.0.0.2", 53)
 
     def test_export_is_byte_stable(self):
         def export():
             bus = TraceBus()
-            bus.emit("notify.send", t=1.0, zebra=1, apple=2, mango=3)
+            bus.emit("notify.send", 1.0, 1, "10.0.0.1:53",
+                     "www.example.com.", "A", 9)
             buf = io.StringIO()
             bus.export_jsonl(buf)
             return buf.getvalue()
@@ -137,12 +177,8 @@ class TestTraceBus:
         first = export()
         assert first == export()
         # t and event lead; remaining keys sorted.
-        assert first.startswith('{"t":1.0,"event":"notify.send","apple":2')
-
-    def test_merge_traces_sorts_by_time(self):
-        a = [(2.0, "net.drop", {}), (4.0, "net.drop", {})]
-        b = [(1.0, "net.deliver", {}), (3.0, "net.deliver", {})]
-        assert [t for t, _n, _f in merge_traces(a, b)] == [1.0, 2.0, 3.0, 4.0]
+        assert first.startswith(
+            '{"t":1.0,"event":"notify.send","cache":"10.0.0.1:53","id":9,')
 
     def test_event_name_contract_is_nonempty(self):
         assert "notify.send" in EVENT_NAMES
@@ -293,7 +329,7 @@ class TestWireCapture:
 
 class TestAnalyze:
     def test_summarize_counts_and_windows(self):
-        events = [
+        events = pack([
             (10.0, "change.detected", {"seq": 1}),
             (10.0, "notify.send", {"seq": 1}),
             (10.0, "notify.send", {"seq": 1}),
@@ -302,7 +338,7 @@ class TestAnalyze:
             (20.0, "change.detected", {"seq": 2}),
             (20.0, "notify.send", {"seq": 2}),
             (23.0, "notify.timeout", {"seq": 2}),
-        ]
+        ])
         summary = summarize_events(events)
         assert summary["notify"]["sends"] == 3
         assert summary["notify"]["acks"] == 2
@@ -319,8 +355,8 @@ class TestAnalyze:
         assert summary["notify"]["ack_rtt"]["mean"] is None
 
     def test_single_event_summary(self):
-        summary = summarize_events([(2.5, "notify.ack",
-                                     {"seq": 1, "rtt": 0.25})])
+        summary = summarize_events(pack([(2.5, "notify.ack",
+                                          {"seq": 1, "rtt": 0.25})]))
         assert summary["span"] == {"first": 2.5, "last": 2.5, "count": 1}
         assert summary["notify"]["acks"] == 1
         assert summary["notify"]["ack_rtt"]["sum"] == 0.25
@@ -361,14 +397,14 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8)
 
-_fields = st.dictionaries(
-    st.text(min_size=1, max_size=10).filter(lambda k: k not in ("t", "event")),
-    _json_values, max_size=4)
+#: (event name, one JSON-safe value per field of its schema).
+_named_fields = st.sampled_from(sorted(EVENT_NAMES)).flatmap(
+    lambda name: st.tuples(st.just(name), st.tuples(
+        *[_json_values] * len(EVENT_FIELDS[name]))))
 
 _events = st.lists(st.tuples(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from(sorted(EVENT_NAMES)),
-    _fields), max_size=12)
+    st.floats(allow_nan=False, allow_infinity=False), _named_fields),
+    max_size=12)
 
 
 class TestTraceRoundTripProperty:
@@ -376,8 +412,8 @@ class TestTraceRoundTripProperty:
     @given(events=_events)
     def test_export_load_round_trips_any_json_safe_fields(self, events):
         bus = TraceBus()
-        for t, name, fields in events:
-            bus.emit(name, t=t, **fields)
+        for t, (name, fields) in events:
+            bus.emit(name, t, *fields)
         buf = io.StringIO()
         assert bus.export_jsonl(buf) == len(events)
         buf.seek(0)

@@ -34,26 +34,29 @@ from repro.obs import (
 )
 from repro.server import AuthoritativeServer, RecursiveResolver, StubResolver
 from repro.sim.driver import fixed_lease_fn, simulate_lease_trace
-from repro.obs.trace import TraceBus
+from repro.obs.trace import TraceBus, fields_dict
 from repro.traces.workload import QueryEvent
 from repro.zone import load_zone
+from tests.conftest import pack
 
 NAME = "www.example.com."
 CACHE_A = "10.0.0.2:53"
 CACHE_B = "10.0.0.3:53"
 
 
-def clean_trace():
+def clean_trace(tamper=None):
     """A hand-built, invariant-clean run: two lease holders, one change
     fanned out to both (one leg retransmitted once), both acked, settled.
 
     RTTs and the settled window are computed from the same float
     subtractions the auditor recomputes, so the trace audits at zero
-    slack — exactly like a live emitter's trace.
+    slack — exactly like a live emitter's trace.  Written as field
+    dicts and packed into the bus's positional records; ``tamper``
+    (event name, field dict -> field dict) edits them first.
     """
     detected = 10.0
     ack_a, ack_b = 10.2, 10.5
-    return [
+    events = [
         (0.0, "lease.grant", {"cache": CACHE_A, "name": NAME,
                               "rrtype": "A", "length": 600.0}),
         (1.0, "lease.grant", {"cache": CACHE_B, "name": NAME,
@@ -75,15 +78,21 @@ def clean_trace():
         (ack_b, "change.settled", {"seq": 1, "window": ack_b - detected,
                                    "acked": 2, "failed": 0}),
     ]
+    if tamper is not None:
+        events = [(t, name, tamper(name, fields))
+                  for t, name, fields in events]
+    return pack(events)
 
 
 def capture_for(events):
     """A wire capture consistent with ``events``: one delivered
     CACHE-UPDATE datagram per notify.send / notify.retransmit."""
     records = []
-    for t, name, fields in events:
+    for event in events:
+        t, name, _fields = event
         if name not in ("notify.send", "notify.retransmit"):
             continue
+        fields = fields_dict(event)
         records.append({"t": t, "proto": "udp", "src": "10.0.0.1:53",
                         "dst": fields["cache"], "size": 64,
                         "id": fields["id"], "opcode": "CACHE-UPDATE",
@@ -123,7 +132,7 @@ class TestSpans:
         assert leg_b.rtt == 10.5 - 10.0
 
     def test_lease_lifecycle_renew_expire_supersede(self):
-        events = [
+        events = pack([
             (0.0, "lease.grant", {"cache": CACHE_A, "name": NAME,
                                   "rrtype": "A", "length": 10.0}),
             (5.0, "lease.renew", {"cache": CACHE_A, "name": NAME,
@@ -135,7 +144,7 @@ class TestSpans:
             # A second grant with no intervening expire: supersedes.
             (25.0, "lease.grant", {"cache": CACHE_A, "name": NAME,
                                    "rrtype": "A", "length": 10.0}),
-        ]
+        ])
         spans = build_spans(events)
         assert spans.orphans == []
         first, second, third = spans.leases
@@ -145,11 +154,11 @@ class TestSpans:
         assert third.open
 
     def test_orphans_surface(self):
-        events = [
+        events = pack([
             (1.0, "notify.ack", {"seq": 7, "cache": CACHE_A, "rtt": 0.1}),
             (2.0, "lease.expire", {"cache": CACHE_A, "name": NAME,
                                    "rrtype": "A"}),
-        ]
+        ])
         spans = build_spans(events)
         assert len(spans.orphans) == 2
         reasons = [reason for _index, reason in spans.orphans]
@@ -157,14 +166,14 @@ class TestSpans:
         assert "without a live lease" in reasons[1]
 
     def test_untracked_seq0_legs_match_fifo(self):
-        events = [
+        events = pack([
             (0.0, "notify.send", {"seq": 0, "cache": CACHE_A, "name": NAME,
                                   "rrtype": "A", "id": 1}),
             (0.0, "notify.send", {"seq": 0, "cache": CACHE_A, "name": NAME,
                                   "rrtype": "A", "id": 2}),
             (0.3, "notify.ack", {"seq": 0, "cache": CACHE_A, "name": NAME,
                                  "rrtype": "A", "rtt": 0.3}),
-        ]
+        ])
         spans = build_spans(events)
         assert spans.changes == []
         assert len(spans.untracked) == 2
@@ -264,7 +273,7 @@ www  IN A   10.0.0.10
                 stats.failures, stats.in_flight) == (1, 0, 1, 0)
         timeouts = [fields for _, name, fields in obs.trace
                     if name == "notify.timeout"]
-        assert [fields["reason"] for fields in timeouts] == ["rejected"]
+        assert [fields[-1] for fields in timeouts] == ["rejected"]
         report = audit_observability(obs, AuditLimits(storage_budget=10))
         assert report.ok, report.as_dict()
         span = build_spans(list(obs.trace)).change_for(1)
@@ -316,9 +325,8 @@ class TestAuditTampers:
         assert "claims acked=2" in messages
 
     def test_inflated_rtt_is_causality(self):
-        events = clean_trace()
-        tampered = [(t, n, dict(f, rtt=0.9) if n == "notify.ack" else f)
-                    for t, n, f in events]
+        tampered = clean_trace(
+            lambda n, f: dict(f, rtt=0.9) if n == "notify.ack" else f)
         report = audit_trace(tampered)
         assert not report.ok
         assert report.kinds() == {CAUSALITY}
@@ -356,18 +364,18 @@ class TestAuditTampers:
             self, detected, owed):
         lease = {"cache": CACHE_A, "name": NAME, "rrtype": "A",
                  "length": 10.0}
-        events = [
+        events = pack([
             (0.0, "lease.grant", lease),
             (5.0, "lease.renew", lease),
             (detected, "change.detected", {"seq": 1, "name": NAME,
                                            "rrtype": "A"}),
             (detected, "change.settled", {"seq": 1, "acked": 0,
                                           "failed": 0}),
-        ]
+        ])
         report = audit_trace(events)
         assert report.kinds() == ({COMPLETENESS} if owed else set())
         # An expiry recorded before the detect ends the obligation too.
-        events.insert(2, (detected, "lease.expire", lease))
+        events[2:2] = pack([(detected, "lease.expire", lease)])
         assert audit_trace(events).ok
 
     def test_overgranted_leases_is_budget_storage(self):
@@ -382,14 +390,14 @@ class TestAuditTampers:
         events += [(0.1 * i, "lease.renew",
                     {"cache": CACHE_A, "name": NAME, "rrtype": "A",
                      "length": 600.0}) for i in range(1, 11)]
-        report = audit_trace(events, limits=AuditLimits(
+        report = audit_trace(pack(events), limits=AuditLimits(
             renewal_budget=2.0, renewal_window=1.0))
         assert not report.ok
         assert report.kinds() == {BUDGET_RENEWAL}
 
     def test_tampered_settled_window_is_staleness(self):
-        events = [(t, n, dict(f, window=0.123) if n == "change.settled"
-                   else f) for t, n, f in clean_trace()]
+        events = clean_trace(lambda n, f: dict(f, window=0.123)
+                             if n == "change.settled" else f)
         report = audit_trace(events)
         assert not report.ok
         assert report.kinds() == {STALENESS}

@@ -28,6 +28,7 @@ from repro.obs.load import (
     OVERFLOW_DOMAIN,
     TAIL_BOUNDS,
 )
+from tests.conftest import emit_dict, pack
 
 
 class TestDecayedRate:
@@ -238,13 +239,15 @@ class TestLoadLedger:
 
     def test_tap_feed_maps_protocol_events(self):
         ledger = LoadLedger(default_server="auth")
-        ledger.on_event((0.0, "lease.grant", {"name": "a.com."}))
-        ledger.on_event((1.0, "lease.renew", {"name": "a.com."}))
-        ledger.on_event((2.0, "renego.send", {"name": "a.com."}))
-        ledger.on_event((3.0, "notify.send", {"name": "a.com."}))
-        ledger.on_event((4.0, "notify.retransmit", {"name": "a.com."}))
-        ledger.on_event((5.0, "net.deliver", {"src": "a:1", "dst": "b:53"}))
-        ledger.on_event((6.0, "notify.ack", {"name": "a.com."}))  # ignored
+        for event in pack([
+                (0.0, "lease.grant", {"name": "a.com."}),
+                (1.0, "lease.renew", {"name": "a.com."}),
+                (2.0, "renego.send", {"name": "a.com."}),
+                (3.0, "notify.send", {"name": "a.com."}),
+                (4.0, "notify.retransmit", {"name": "a.com."}),
+                (5.0, "net.deliver", {"src": "a:1", "dst": "b:53"}),
+                (6.0, "notify.ack", {"name": "a.com."})]):  # last: ignored
+            ledger.on_event(event)
         assert ledger.total == 6
         assert ledger.servers["auth"].classes == {
             CLASS_QUERY: 1, CLASS_RENEWAL: 2, CLASS_NOTIFY: 1,
@@ -331,7 +334,7 @@ class TestMultiTapTraceBus:
         second = lambda record: seen.append(("second", record[1]))  # noqa: E731
         bus.add_tap(first)
         bus.add_tap(second)
-        bus.emit("lease.grant", name="a.com.")
+        emit_dict(bus, "lease.grant", name="a.com.")
         assert seen == [("first", "lease.grant"), ("second", "lease.grant")]
 
     def test_single_tap_keeps_pointer_fast_path(self):
@@ -352,7 +355,7 @@ class TestMultiTapTraceBus:
         bus.add_tap(drop)
         bus.remove_tap(drop)
         assert bus.tap is keep
-        bus.emit("lease.renew", name="a.com.")
+        emit_dict(bus, "lease.renew", name="a.com.")
         assert seen == ["lease.renew"]
 
     def test_telemetry_and_ledger_coexist(self):
@@ -363,8 +366,8 @@ class TestMultiTapTraceBus:
         ledger = LoadLedger(default_server="auth")
         bus.add_tap(lambda record: audited.append(record[1]))
         bus.add_tap(ledger.on_event)
-        bus.emit("lease.grant", name="a.com.")
-        bus.emit("notify.send", name="a.com.")
+        emit_dict(bus, "lease.grant", name="a.com.")
+        emit_dict(bus, "notify.send", name="a.com.")
         assert audited == ["lease.grant", "notify.send"]
         assert ledger.total == 2
 
@@ -374,10 +377,10 @@ class TestMultiTapTraceBus:
         legacy = lambda record: seen.append("legacy")  # noqa: E731
         bus.tap = legacy
         bus.add_tap(lambda record: seen.append("added"))
-        bus.emit("lease.grant", name="a.com.")
+        emit_dict(bus, "lease.grant", name="a.com.")
         assert seen == ["legacy", "added"]
         bus.remove_tap(legacy)
-        bus.emit("lease.grant", name="a.com.")
+        emit_dict(bus, "lease.grant", name="a.com.")
         assert seen == ["legacy", "added", "added"]
 
     def test_duplicate_tap_rejected(self):

@@ -8,8 +8,6 @@ several (``diff``).
 
 import json
 
-import pytest
-
 from repro.tools import obs_tool
 
 
@@ -48,8 +46,13 @@ def test_diff_warns_once_across_both_traces(tmp_path, capsys):
     assert err.count("bogus.event") == 1
 
 
-def test_strict_mode_still_rejects_unknown_names(tmp_path):
+def test_strict_mode_still_rejects_unknown_names(tmp_path, capsys):
     trace = tmp_path / "run.jsonl"
     _write_trace(trace, ["bogus.event"])
-    with pytest.raises(ValueError):
-        obs_tool.main(["--strict", "summarize", str(trace), "--json"])
+    # One line and exit code 2, like every unloadable trace — no traceback.
+    assert obs_tool.main(["--strict", "summarize", str(trace),
+                          "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: trace line 1: unknown event name 'bogus.event'\n"
+    assert captured.out == ""

@@ -14,6 +14,7 @@ from repro.tools import (
     trace_tool,
 )
 from repro.traces import load_trace
+from tests.conftest import emit_dict
 
 
 class TestReportHelpers:
@@ -174,11 +175,13 @@ class TestLeasesimJson:
 class TestObsTool:
     def make_trace(self, tmp_path, name="trace.jsonl", rtt=0.25):
         bus = TraceBus()
-        bus.emit("change.detected", t=10.0, seq=1, name="www.example.com.")
-        bus.emit("notify.send", t=10.0, seq=1, cache="10.0.0.2:53")
-        bus.emit("notify.ack", t=10.0 + rtt, seq=1, rtt=rtt)
-        bus.emit("lease.grant", t=1.0, cache="10.0.0.2:53", length=60.0)
-        bus.emit("net.deliver", t=10.0, src="a:1", dst="b:53", size=40)
+        emit_dict(bus, "change.detected", t=10.0, seq=1,
+                  name="www.example.com.")
+        emit_dict(bus, "notify.send", t=10.0, seq=1, cache="10.0.0.2:53")
+        emit_dict(bus, "notify.ack", t=10.0 + rtt, seq=1, rtt=rtt)
+        emit_dict(bus, "lease.grant", t=1.0, cache="10.0.0.2:53",
+                  length=60.0)
+        emit_dict(bus, "net.deliver", t=10.0, src="a:1", dst="b:53", size=40)
         path = str(tmp_path / name)
         bus.export_jsonl(path)
         return path
@@ -268,6 +271,30 @@ class TestObsTail:
             stream.write(whole[2][20:] + whole[3])
         assert [name for _t, name, _f in follower.poll()] \
             == ["notify.send", "notify.ack"]
+
+    def test_one_bad_line_is_one_error_line_and_exit_2(self, tmp_path,
+                                                       capsys):
+        # A complete line that is not a trace record: tail and the
+        # batch subcommands share one parser, so both name the line and
+        # exit 2 (the follower used to die with a raw AttributeError).
+        whole = [json.dumps(r) + "\n" for r in self.EVENTS]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(whole[:3]) + "\n[1, 2]\n" + whole[3])
+        for argv in (["tail", str(path), "--once"],
+                     ["summarize", str(path)],
+                     ["--strict", "audit", str(path)]):
+            assert obs_tool.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == \
+                "error: trace line 5: not a JSON object\n"
+        # The follower counts lines across polls, blank ones included.
+        follower = obs_tool.TraceFollower(str(path))
+        path.write_text("".join(whole[:2]))
+        assert len(follower.poll()) == 2
+        with open(path, "a") as stream:
+            stream.write("\n3\n")
+        with pytest.raises(ValueError, match="^trace line 4: "):
+            follower.poll()
 
     def test_once_on_clean_trace_exits_zero(self, tmp_path, capsys):
         path = self.write_trace(tmp_path)
