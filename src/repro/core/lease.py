@@ -26,6 +26,8 @@ RecordKey = Tuple[Name, RRType]
 class Lease:
     """One granted lease: the paper's five-field track-file tuple."""
 
+    __slots__ = ("cache", "name", "rrtype", "granted_at", "length")
+
     cache: Endpoint          # source address of the local nameserver
     name: Name               # queried owner name
     rrtype: RRType           # query type

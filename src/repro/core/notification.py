@@ -66,6 +66,8 @@ class NotificationStats:
 class NotificationOutcome:
     """Result of fanning one change out to one cache."""
 
+    __slots__ = ("cache", "name", "rrtype", "acked", "rtt")
+
     cache: Endpoint
     name: Name
     rrtype: RRType
@@ -184,80 +186,9 @@ class NotificationModule:
             # Signing covers the patched ID, so each recipient's TSIG is
             # computed over its own datagram (no MAC sharing).
             wire = sign(wire, self.tsig_key, sent_at)
-        self.socket.request(
-            wire, cache, msg_id,
-            lambda payload, src: self._on_ack(cache, name, rrtype, sent_at,
-                                              payload, seq),
-            retry=self.retry,
-            on_attempt=lambda attempt: self._on_attempt(
-                cache, name, rrtype, msg_id, seq, attempt))
-
-    def _on_attempt(self, cache: Endpoint, name: Name, rrtype: RRType,
-                    msg_id: int, seq: int, attempt: int) -> None:
-        if attempt <= 1:
-            return
-        self.stats.retransmissions += 1
-        if self.load_ledger is not None:
-            self.load_ledger.record(name.to_text(), "retransmit",
-                                    self.simulator.now,
-                                    depth=self.stats.in_flight)
-        if self.trace is not None:
-            self.trace.emit("notify.retransmit", None, seq, cache, name,
-                            rrtype, msg_id, attempt)
-
-    def _on_ack(self, cache: Endpoint, name: Name, rrtype: RRType,
-                sent_at: float, payload: Optional[bytes],
-                seq: int = 0) -> None:
-        stats = self.stats
-        stats.in_flight -= 1
-        if payload is None:
-            self._record_failure(cache, name, rrtype, seq, "timeout")
-            self.unreachable.add(cache)
-            return
-        if self._ack_verifier is not None:
-            try:
-                payload = self._ack_verifier.verify(payload,
-                                                    self.simulator.now)
-            except TsigError:
-                stats.ack_tsig_failures += 1
-                self._record_failure(cache, name, rrtype, seq, "tsig")
-                return
-        try:
-            ack = Message.from_wire(payload)
-            # The socket matched the reply by source and message ID
-            # only; it acknowledges the update only if it says so.
-            acknowledged = (ack.is_response
-                            and ack.opcode is Opcode.CACHE_UPDATE
-                            and ack.rcode is Rcode.NOERROR)
-        except (WireFormatError, ValueError):
-            self._record_failure(cache, name, rrtype, seq, "malformed")
-            return
-        if not acknowledged:
-            # NOTIMP, REFUSED, FORMERR, a plain QUERY response: a cache
-            # that does not speak DNScup did not apply the update.
-            self._record_failure(cache, name, rrtype, seq, "rejected")
-            return
-        now = self.simulator.now
-        rtt = now - sent_at
-        stats.acks_received += 1
-        self.unreachable.discard(cache)
-        self.outcomes.append(NotificationOutcome(
-            cache, name, rrtype, acked=True, rtt=rtt))
-        if self.ack_rtt_hist is not None:
-            self.ack_rtt_hist.observe(rtt)
-        if self.trace is not None:
-            self.trace.emit("notify.ack", now, seq, cache, name, rrtype, rtt)
-        self._settle(seq, acked=True, at=now)
-
-    def _record_failure(self, cache: Endpoint, name: Name, rrtype: RRType,
-                        seq: int, reason: str) -> None:
-        self.stats.failures += 1
-        self.outcomes.append(NotificationOutcome(cache, name, rrtype,
-                                                 acked=False, rtt=None))
-        if self.trace is not None:
-            self.trace.emit("notify.timeout", None, seq, cache, name, rrtype,
-                            reason)
-        self._settle(seq, acked=False)
+        leg = _Leg(self, cache, name, rrtype, sent_at, seq, msg_id)
+        self.socket.request(wire, cache, msg_id, leg.on_ack,
+                            retry=self.retry, on_attempt=leg.on_attempt)
 
     def _settle(self, seq: int, acked: bool,
                 at: Optional[float] = None) -> None:
@@ -308,3 +239,95 @@ class NotificationModule:
         """Mean round-trip of acknowledged notifications, or None."""
         rtts = [o.rtt for o in self.outcomes if o.rtt is not None]
         return sum(rtts) / len(rtts) if rtts else None
+
+
+@dataclasses.dataclass(eq=False)
+class _Leg:
+    """One notification in flight: the state behind the two callbacks
+    :meth:`Socket.request` holds.  A slotted record rather than two
+    closures, pointing back at nothing in flight, so it is freed by
+    reference count when the request settles.
+    """
+
+    __slots__ = ("module", "cache", "name", "rrtype", "sent_at", "seq",
+                 "msg_id")
+
+    module: NotificationModule
+    cache: Endpoint
+    name: Name
+    rrtype: RRType
+    sent_at: float
+    seq: int
+    msg_id: int
+
+    def on_attempt(self, attempt: int) -> None:
+        """Count (and attribute) every transmission after the first."""
+        if attempt <= 1:
+            return
+        module = self.module
+        module.stats.retransmissions += 1
+        if module.load_ledger is not None:
+            module.load_ledger.record(self.name.to_text(), "retransmit",
+                                      module.simulator.now,
+                                      depth=module.stats.in_flight)
+        if module.trace is not None:
+            module.trace.emit("notify.retransmit", None, self.seq,
+                              self.cache, self.name, self.rrtype,
+                              self.msg_id, attempt)
+
+    def on_ack(self, payload: Optional[bytes],
+               src: Optional[Endpoint]) -> None:
+        """The matched reply, or ``(None, None)`` once retries ran out."""
+        module = self.module
+        stats = module.stats
+        stats.in_flight -= 1
+        if payload is None:
+            self._fail("timeout")
+            module.unreachable.add(self.cache)
+            return
+        if module._ack_verifier is not None:
+            try:
+                payload = module._ack_verifier.verify(payload,
+                                                      module.simulator.now)
+            except TsigError:
+                stats.ack_tsig_failures += 1
+                self._fail("tsig")
+                return
+        try:
+            ack = Message.from_wire(payload)
+            # The socket matched the reply by source and message ID
+            # only; it acknowledges the update only if it says so.
+            acknowledged = (ack.is_response
+                            and ack.opcode is Opcode.CACHE_UPDATE
+                            and ack.rcode is Rcode.NOERROR)
+        except (WireFormatError, ValueError):
+            self._fail("malformed")
+            return
+        if not acknowledged:
+            # NOTIMP, REFUSED, FORMERR, a plain QUERY response: a cache
+            # that does not speak DNScup did not apply the update.
+            self._fail("rejected")
+            return
+        now = module.simulator.now
+        rtt = now - self.sent_at
+        cache, name, rrtype = self.cache, self.name, self.rrtype
+        stats.acks_received += 1
+        module.unreachable.discard(cache)
+        module.outcomes.append(NotificationOutcome(
+            cache, name, rrtype, acked=True, rtt=rtt))
+        if module.ack_rtt_hist is not None:
+            module.ack_rtt_hist.observe(rtt)
+        if module.trace is not None:
+            module.trace.emit("notify.ack", now, self.seq, cache, name,
+                              rrtype, rtt)
+        module._settle(self.seq, acked=True, at=now)
+
+    def _fail(self, reason: str) -> None:
+        module = self.module
+        module.stats.failures += 1
+        module.outcomes.append(NotificationOutcome(
+            self.cache, self.name, self.rrtype, acked=False, rtt=None))
+        if module.trace is not None:
+            module.trace.emit("notify.timeout", None, self.seq, self.cache,
+                              self.name, self.rrtype, reason)
+        module._settle(self.seq, acked=False)

@@ -118,8 +118,7 @@ class RenegotiationAgent:
                             current_rate, query.id)
         resolver.upstream_socket.request(
             query.to_wire(), info.origin, query.id,
-            lambda payload, src: self._on_response(key, info, current_rate,
-                                                   payload),
+            _Exchange(self, key, info, current_rate).on_response,
             retry=resolver.retry)
 
     def _on_response(self, key: Tuple[Name, RRType], info: LeaseGrantInfo,
@@ -163,3 +162,20 @@ class RenegotiationAgent:
             self.stats.leases_lost += 1
             if self.trace is not None:
                 self.trace.emit("renego.lost", now, key[0], key[1])
+
+
+@dataclasses.dataclass(eq=False)
+class _Exchange:
+    """One renegotiation in flight: what its response handler needs."""
+
+    __slots__ = ("agent", "key", "info", "current_rate")
+
+    agent: RenegotiationAgent
+    key: Tuple[Name, RRType]
+    info: LeaseGrantInfo
+    current_rate: float
+
+    def on_response(self, payload: Optional[bytes], src: object) -> None:
+        """The granting server's answer, or ``(None, None)`` on timeout."""
+        self.agent._on_response(self.key, self.info, self.current_rate,
+                                payload)

@@ -135,9 +135,6 @@ class Socket:
         elif self._receive_handler is not None:
             self._receive_handler(payload, src, dst)
 
-    def _forget(self, dst: Endpoint, match_id: int) -> None:
-        self._pending.pop((dst, match_id), None)
-
 
 class _PendingRequest:
     """Bookkeeping for one in-flight request with retransmission."""
@@ -177,7 +174,10 @@ class _PendingRequest:
         if self.attempt < self.policy.max_attempts:
             self.send_attempt()
             return
-        self.socket._forget(self.dst, self.match_id)
+        # The fired handle still holds this bound method: drop it, or
+        # the request is a cycle only the collector can free.
+        self._timer = None
+        self.socket._pending.pop((self.dst, self.match_id), None)
         self.handler(None, None)
 
     def complete(self, payload: bytes, src: Endpoint) -> None:

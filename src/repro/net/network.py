@@ -227,34 +227,7 @@ class Network:
                 continue
             self.simulator.schedule(
                 profile.latency.sample(rng),
-                lambda dup=copy > 0: self._deliver(payload, src, dst,
-                                                   profile, dup))
-
-    def _deliver(self, payload: bytes, src: Endpoint, dst: Endpoint,
-                 profile: LinkProfile, dup: bool) -> None:
-        handler = self._bindings.get(dst)
-        if handler is None:
-            # Port unreachable: dropped like real UDP without ICMP, but
-            # counted — an unreachable storm is a topology bug.
-            self.stats.datagrams_unreachable += 1
-            profile.stats.unreachable += 1
-            if self.trace is not None:
-                self.trace.emit("net.unreachable", None, src, dst,
-                                len(payload))
-            if self.capture is not None:
-                self.capture.record(self.simulator.now, "udp", src, dst,
-                                    payload, "unreachable", dup=dup)
-            return
-        stats = self.stats
-        stats.datagrams_delivered += 1
-        stats.bytes_delivered += len(payload)
-        profile.stats.delivered += 1
-        if self.trace is not None:
-            self.trace.emit("net.deliver", None, src, dst, len(payload))
-        if self.capture is not None:
-            self.capture.record(self.simulator.now, "udp", src, dst,
-                                payload, "delivered", dup=dup)
-        handler(payload, src, dst)
+                _Delivery(self, payload, src, dst, profile, copy > 0))
 
     # -- reliable streams (TCP-like, for truncation fallback) -----------------
 
@@ -280,17 +253,69 @@ class Network:
         profile = self._profile_for(src, dst)
         delay = sum(profile.latency.sample(self.rng) for _ in range(3))
         self.simulator.schedule(
-            delay, lambda: self._deliver_stream(payload, src, dst))
+            delay, _StreamDelivery(self, payload, src, dst, profile, False))
 
-    def _deliver_stream(self, payload: bytes, src: Endpoint,
-                        dst: Endpoint) -> None:
-        handler = self._stream_bindings.get(dst)
+
+@dataclasses.dataclass(eq=False)
+class _Delivery:
+    """One datagram copy in flight: what :meth:`Network.send` schedules.
+    A slotted record rather than a closure, and nothing it references
+    points back at it, so it is freed by reference count once fired.
+    """
+
+    __slots__ = ("network", "payload", "src", "dst", "profile", "dup")
+
+    network: Network
+    payload: bytes
+    src: Endpoint
+    dst: Endpoint
+    profile: LinkProfile     # in force when the datagram was sent
+    dup: bool
+
+    def __call__(self) -> None:
+        network, payload = self.network, self.payload
+        src, dst = self.src, self.dst
+        handler = network._bindings.get(dst)
         if handler is None:
-            if self.capture is not None:
-                self.capture.record(self.simulator.now, "stream", src, dst,
-                                    payload, "unreachable")
+            # Port unreachable: dropped like real UDP without ICMP, but
+            # counted — an unreachable storm is a topology bug.
+            network.stats.datagrams_unreachable += 1
+            self.profile.stats.unreachable += 1
+            if network.trace is not None:
+                network.trace.emit("net.unreachable", None, src, dst,
+                                   len(payload))
+            if network.capture is not None:
+                network.capture.record(network.simulator.now, "udp", src,
+                                       dst, payload, "unreachable",
+                                       dup=self.dup)
             return
-        if self.capture is not None:
-            self.capture.record(self.simulator.now, "stream", src, dst,
-                                payload, "delivered")
+        stats = network.stats
+        stats.datagrams_delivered += 1
+        stats.bytes_delivered += len(payload)
+        self.profile.stats.delivered += 1
+        if network.trace is not None:
+            network.trace.emit("net.deliver", None, src, dst, len(payload))
+        if network.capture is not None:
+            network.capture.record(network.simulator.now, "udp", src, dst,
+                                   payload, "delivered", dup=self.dup)
+        handler(payload, src, dst)
+
+
+class _StreamDelivery(_Delivery):
+    """One reliable-stream message in flight (``profile`` / ``dup`` unused)."""
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        network, payload = self.network, self.payload
+        src, dst = self.src, self.dst
+        handler = network._stream_bindings.get(dst)
+        if handler is None:
+            if network.capture is not None:
+                network.capture.record(network.simulator.now, "stream", src,
+                                       dst, payload, "unreachable")
+            return
+        if network.capture is not None:
+            network.capture.record(network.simulator.now, "stream", src, dst,
+                                   payload, "delivered")
         handler(payload, src, dst)

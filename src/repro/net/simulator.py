@@ -170,6 +170,9 @@ class Simulator:
             fired += 1
             if max_events is not None and fired >= max_events:
                 break
+        if not self._live_pending:
+            # Only tombstones are left: a drained queue keeps no handle.
+            heap.clear()
         return fired
 
     def step(self) -> bool:

@@ -19,6 +19,7 @@ literals recorded at the commit before it; only the tails' p50/p95/p99
 
 import dataclasses
 import random
+import types
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.zone import load_zone
 HOLDERS = 500
 SEED = 7
 LEASED_NAME = "www.example.com"
+NEW_ADDRESS = ["10.0.9.9"]
 ZONE_TEXT = """\
 $ORIGIN example.com.
 $TTL 3600
@@ -43,9 +45,11 @@ www  IN A   10.0.0.10
 """
 
 
-def run_storm(loss_rate=0.0, duplicate_rate=0.0, observed=False):
-    """Grant, synchronize, change, settle; returns every counter (plus
-    what the plane saw under ``"observed"`` when it is armed)."""
+def build_storm(holders=HOLDERS, loss_rate=0.0, duplicate_rate=0.0,
+                observed=False, max_attempts=4):
+    """Grant and synchronize; returns the world at the instant of the
+    change (``tests/test_inflight_census.py`` looks inside the fan-out
+    from here)."""
     rng = random.Random(SEED)
     simulator = Simulator()
     obs = None
@@ -64,10 +68,11 @@ def run_storm(loss_rate=0.0, duplicate_rate=0.0, observed=False):
         server, policy=DynamicLeasePolicy(0.0),
         config=DNScupConfig(
             observability=obs,
-            notify_retry=RetryPolicy(initial_timeout=0.015, max_attempts=4),
-            lease_capacity=2 * HOLDERS))
+            notify_retry=RetryPolicy(initial_timeout=0.015,
+                                     max_attempts=max_attempts),
+            lease_capacity=2 * holders))
     endpoints = [(f"172.{16 + (n >> 16)}.{(n >> 8) & 255}.{n & 255}", 53)
-                 for n in rng.sample(range(1 << 20), HOLDERS)]
+                 for n in rng.sample(range(1 << 20), holders)]
     renew_order = list(endpoints)
     rng.shuffle(renew_order)
 
@@ -80,8 +85,8 @@ def run_storm(loss_rate=0.0, duplicate_rate=0.0, observed=False):
     for endpoint in endpoints:
         network.bind(endpoint, acknowledge)
     table = middleware.table
-    for start in range(0, HOLDERS, 5):
-        simulator.run_until(300.0 * start / HOLDERS)
+    for start in range(0, holders, 5):
+        simulator.run_until(300.0 * start / holders)
         for endpoint in endpoints[start:start + 5]:
             table.grant(endpoint, LEASED_NAME, RRType.A, now=simulator.now,
                         length=3600.0)
@@ -90,7 +95,19 @@ def run_storm(loss_rate=0.0, duplicate_rate=0.0, observed=False):
         table.grant(endpoint, LEASED_NAME, RRType.A, now=simulator.now,
                     length=3600.0)
     simulator.run_until(660.0)
-    zone.replace_address(LEASED_NAME, ["10.0.9.9"])
+    return types.SimpleNamespace(
+        simulator=simulator, network=network, profile=profile, zone=zone,
+        middleware=middleware, obs=obs)
+
+
+def run_storm(loss_rate=0.0, duplicate_rate=0.0, observed=False):
+    """Grant, synchronize, change, settle; returns every counter (plus
+    what the plane saw under ``"observed"`` when it is armed)."""
+    storm = build_storm(HOLDERS, loss_rate, duplicate_rate, observed)
+    simulator, network, profile = storm.simulator, storm.network, storm.profile
+    middleware, table, obs = (storm.middleware, storm.middleware.table,
+                              storm.obs)
+    storm.zone.replace_address(LEASED_NAME, NEW_ADDRESS)
     simulator.run()
     counters = {
         "now": simulator.now,
