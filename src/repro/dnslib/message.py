@@ -330,8 +330,10 @@ def make_query(name, rrtype: RRType, recursion_desired: bool = True,
 def make_response(query: Message, rcode: Rcode = Rcode.NOERROR,
                   llt: Optional[int] = None) -> Message:
     """A response mirroring ``query``'s ID, opcode, question and CU bit."""
-    message = Message(query.id, 0, rcode)
-    message.opcode = query.opcode
+    # The raw opcode bits, so an unassigned opcode can be answered
+    # NOTIMP without being named.
+    message = Message(query.id, query.flags & (_OPCODE_MASK << _OPCODE_SHIFT),
+                      rcode)
     message.is_response = True
     message.recursion_desired = query.recursion_desired
     message.cache_update_aware = query.cache_update_aware

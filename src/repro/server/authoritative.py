@@ -184,11 +184,15 @@ class AuthoritativeServer:
             return None
         if message.is_response:
             return None  # unmatched response: stale retransmission, drop
-        if message.opcode == Opcode.QUERY:
+        try:
+            opcode = message.opcode
+        except ValueError:  # unassigned (RFC 1035 §4.1.1): not implemented
+            return message, make_response(message, Rcode.NOTIMP)
+        if opcode == Opcode.QUERY:
             return message, self.handle_query(message, src)
-        if message.opcode == Opcode.UPDATE:
+        if opcode == Opcode.UPDATE:
             return message, self.handle_update(message, src)
-        if message.opcode == Opcode.NOTIFY:
+        if opcode == Opcode.NOTIFY:
             return message, self.handle_notify(message, src)
         return message, make_response(message, Rcode.NOTIMP)
 

@@ -164,9 +164,12 @@ class PushSubscriber:
     def _on_stream(self, payload: bytes, src: Endpoint, dst: Endpoint) -> None:
         try:
             message = Message.from_wire(payload)
+            opcode = message.opcode  # an unassigned opcode is dropped too
         except (WireFormatError, ValueError):
             return
-        if message.opcode == Opcode.CACHE_UPDATE and not message.is_response:
+        if opcode == Opcode.CACHE_UPDATE and not message.is_response:
+            if not message.question:
+                return  # names no record to apply: drop
             self.stats.pushes_received += 1
             question = message.question[0]
             rrsets = records_to_rrsets(message.answer)

@@ -153,15 +153,16 @@ class RecursiveResolver:
         payload = stripped
         try:
             message = Message.from_wire(payload)
+            opcode = message.opcode  # an unassigned opcode is dropped too
         except (WireFormatError, ValueError):
             return
-        if message.opcode == Opcode.CACHE_UPDATE and not message.is_response:
+        if opcode == Opcode.CACHE_UPDATE and not message.is_response:
             if self.tsig_require and signed_with is None:
                 self.stats.tsig_rejected_unsigned += 1
                 return  # no ack: the pusher will retry and give up
             self._handle_cache_update(message, src, signed_with)
             return
-        if message.is_response or message.opcode != Opcode.QUERY:
+        if message.is_response or opcode != Opcode.QUERY:
             return
         self._serve_client(message, src, stream=False)
 
@@ -170,9 +171,10 @@ class RecursiveResolver:
         """Client queries retried over the stream path after truncation."""
         try:
             message = Message.from_wire(payload)
+            opcode = message.opcode  # an unassigned opcode is dropped too
         except (WireFormatError, ValueError):
             return
-        if message.is_response or message.opcode != Opcode.QUERY:
+        if message.is_response or opcode != Opcode.QUERY:
             return
         self._serve_client(message, src, stream=True)
 

@@ -12,14 +12,28 @@ the equivalent synthetically:
   (15-minute default), so the *query* stream a nameserver sees is the
   request stream thinned by per-client caching — exactly the client
   caching effect §5.1 models.
+
+Each domain's stream has its own ``random.Random``, seeded in domain
+order from the workload seed, so streams are independent and are drawn
+one domain at a time: a domain's requests are sorted once, thinned by
+the client cache per ``(client, name)`` before any :class:`QueryEvent`
+exists (domains sharing a name are thinned together), and the
+survivors of every domain, laid out in domain order, take one stable
+sort by time.  That order is the one a merge keyed on ``(time, domain
+index, ...)`` would produce, and
+``ClientCacheFilter(c).filter(generate_requests(...))`` equals
+:func:`generate_queries` event for event; ``tests/test_traces_golden.py``
+pins the traces themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
+import math
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..dnslib import Name
 from .domains import DomainSpec
@@ -67,49 +81,122 @@ def domain_request_rates(domains: Sequence[DomainSpec],
             for domain in domains]
 
 
-def generate_requests(domains: Sequence[DomainSpec],
-                      config: WorkloadConfig) -> Iterator[QueryEvent]:
-    """The raw client *request* stream (before client caching), in time
-    order, assigned to clients uniformly and to each client's home
-    nameserver by client id."""
+def _domain_requests(domains: Sequence[DomainSpec], config: WorkloadConfig
+                     ) -> Iterator[List[Tuple[float, int]]]:
+    """Each domain's requests, one domain at a time, as ``(time, client)``
+    pairs in the order a time-ordered merge of all domains reaches them."""
     rng = random.Random(config.seed)
     # Session arrivals are Poisson per domain; the configured total rate
     # counts *all* requests, so session rates are scaled down by the
     # mean burst size.
     burst_mean = max(1.0, config.burst_mean)
-    rates = domain_request_rates(domains, config.total_request_rate)
-    session_rates = [(domain, rate / burst_mean) for domain, rate in rates]
-    # One lazy Poisson stream per domain, merged by heap.  Entry kinds:
-    # 0 = session arrival (reschedules itself), 1 = burst follow-up.
-    heap: List[Tuple[float, int, int, int]] = []
-    streams: List[random.Random] = []
-    for index, (domain, rate) in enumerate(session_rates):
+    bursty = burst_mean > 1.0
+    p_more = 1.0 - 1.0 / burst_mean
+    duration, spread, clients = (config.duration, config.burst_spread,
+                                 config.clients)
+    for _domain, rate in domain_request_rates(domains,
+                                              config.total_request_rate):
+        # Every domain takes a seed, requested or not, so a domain's
+        # draws never depend on another's.
         stream = random.Random(rng.randrange(1 << 30))
-        streams.append(stream)
-        if rate <= 0:
+        rate /= burst_mean
+        sessions: List[Tuple[float, int]] = []
+        if rate > 0:
+            draw, expovariate = stream.random, stream.expovariate
+            follow_ups: List[Tuple[float, int]] = []
+            time = expovariate(rate)
+            while time <= duration:
+                client = stream.randrange(clients)
+                sessions.append((time, client))
+                # Geometric burst: the session brings extra requests
+                # from the same client shortly afterwards.
+                if bursty:
+                    while draw() < p_more:
+                        extra_time = time + stream.uniform(0.0, spread)
+                        if extra_time <= duration:
+                            follow_ups.append((extra_time, client))
+                time += expovariate(rate)
+            # Sessions are drawn in time order; at one instant a session
+            # comes before follow-ups, and follow-ups go by client.  A
+            # stable sort by time over the two sorted runs keeps both.
+            follow_ups.sort()
+            sessions += follow_ups
+            sessions.sort(key=itemgetter(0))
+        yield sessions
+
+
+def _thin(requests: List[tuple], cache_seconds: float) -> List[tuple]:
+    """The requests of one name, ``(time, client, ...)`` in time order,
+    that miss their client's cache."""
+    last_fetch: Dict[int, float] = {}
+    fetched = last_fetch.get
+    passed: List[tuple] = []
+    keep = passed.append
+    for request in requests:
+        time, client = request[0], request[1]
+        if time - fetched(client, -math.inf) < cache_seconds:
             continue
-        first = stream.expovariate(rate)
-        if first <= config.duration:
-            heapq.heappush(heap, (first, index, 0, 0))
-    while heap:
-        time, index, kind, client = heapq.heappop(heap)
-        domain, rate = session_rates[index]
-        stream = streams[index]
-        if kind == 0:
-            client = stream.randrange(config.clients)
-            # Geometric burst: the session brings extra requests from
-            # the same client shortly afterwards.
-            if burst_mean > 1.0:
-                p_more = 1.0 - 1.0 / burst_mean
-                while stream.random() < p_more:
-                    extra_time = time + stream.uniform(0.0, config.burst_spread)
-                    if extra_time <= config.duration:
-                        heapq.heappush(heap, (extra_time, index, 1, client))
-            next_time = time + stream.expovariate(rate)
-            if next_time <= config.duration:
-                heapq.heappush(heap, (next_time, index, 0, 0))
-        nameserver = client % config.nameservers
-        yield QueryEvent(time, client, domain.name, nameserver)
+        last_fetch[client] = time
+        keep(request)
+    return passed
+
+
+def _thin_by_name(domains: Sequence[DomainSpec],
+                  requests: Iterable[List[Tuple[float, int]]],
+                  cache_seconds: float
+                  ) -> Iterator[Tuple[int, List[Tuple[float, int]]]]:
+    """``(domain index, requests that miss the client cache)``.
+
+    The cache is per (client, name), so domains that share a name are
+    held back until the last of them is drawn, merged in time order
+    (domain order breaking ties), thinned together and dealt back."""
+    members: Dict[Name, List[int]] = {}
+    for index, domain in enumerate(domains):
+        members.setdefault(domain.name, []).append(index)
+    held: Dict[int, List[Tuple[float, int]]] = {}
+    for index, pairs in enumerate(requests):
+        sharing = members[domains[index].name]
+        if len(sharing) == 1:
+            yield index, _thin(pairs, cache_seconds)
+            continue
+        held[index] = pairs
+        if index != sharing[-1]:
+            continue
+        merged = [(time, client, member) for member in sharing
+                  for time, client in held.pop(member)]
+        merged.sort(key=itemgetter(0))
+        dealt: Dict[int, List[Tuple[float, int]]] = {
+            member: [] for member in sharing}
+        for time, client, member in _thin(merged, cache_seconds):
+            dealt[member].append((time, client))
+        yield from dealt.items()
+
+
+def _trace(domains: Sequence[DomainSpec],
+           requests: Iterable[Tuple[int, List[Tuple[float, int]]]],
+           nameservers: int) -> Iterator[QueryEvent]:
+    """One time-ordered trace from ``(domain index, requests)``.
+
+    Domain by domain in index order, then one stable sort by time: the
+    order a heap merge keyed on ``(time, domain index, ...)`` pops."""
+    per_domain: List[List[QueryEvent]] = [[] for _ in domains]
+    for index, pairs in requests:
+        name = domains[index].name
+        per_domain[index] = [QueryEvent(time, client, name,
+                                        client % nameservers)
+                             for time, client in pairs]
+    events = list(chain.from_iterable(per_domain))
+    events.sort(key=attrgetter("time"))
+    return iter(events)
+
+
+def generate_requests(domains: Sequence[DomainSpec],
+                      config: WorkloadConfig) -> Iterator[QueryEvent]:
+    """The raw client *request* stream (before client caching), in time
+    order, assigned to clients uniformly and to each client's home
+    nameserver by client id."""
+    return _trace(domains, enumerate(_domain_requests(domains, config)),
+                  config.nameservers)
 
 
 class ClientCacheFilter:
@@ -158,9 +245,17 @@ class ClientCacheFilter:
 
 def generate_queries(domains: Sequence[DomainSpec],
                      config: WorkloadConfig) -> Iterator[QueryEvent]:
-    """Requests thinned by the client cache: the nameserver-visible trace."""
-    cache = ClientCacheFilter(config.client_cache_seconds)
-    return cache.filter(generate_requests(domains, config))
+    """Requests thinned by the client cache: the nameserver-visible trace.
+
+    The same trace as ``ClientCacheFilter(config.client_cache_seconds)``
+    over :func:`generate_requests`, without building the requests the
+    cache absorbs."""
+    cache_seconds = config.client_cache_seconds
+    if cache_seconds < 0:
+        raise ValueError("cache_seconds must be non-negative")
+    return _trace(domains, _thin_by_name(
+        domains, _domain_requests(domains, config), cache_seconds),
+        config.nameservers)
 
 
 def split_by_nameserver(events: Iterable[QueryEvent],

@@ -5,6 +5,8 @@ track file across a server restart, unreachable caches recovering,
 leases expiring mid-incident, and daemon-event semantics under load.
 """
 
+import struct
+
 import pytest
 
 from repro.core import DNScup, DNScupConfig, DynamicLeasePolicy, attach_dnscup
@@ -82,7 +84,9 @@ class TestServerRestart:
 
     def test_restart_without_track_file_degrades_to_ttl(
             self, make_host, simulator):
-        """If the track file is lost, caches silently fall back to TTL —
+        """If the track file is lost, the cache falls back to the
+        holder's lease: no push reaches it, and it keeps the superseded
+        record for as long as the lease it was granted runs —
         degraded but never wrong about who is notified."""
         zone, auth, middleware, resolver = build_world(make_host, simulator)
         resolve(resolver, simulator)
@@ -94,6 +98,50 @@ class TestServerRestart:
         assert fresh.notification.stats.notifications_sent == 0
         entry = resolver.cache.peek("www.example.com", RRType.A)
         assert A("172.18.0.2") not in entry.rrset
+
+
+def bare_header(opcode, msg_id=0x4D2):
+    """A 12-byte DNS header with ``opcode``, every count zero."""
+    return struct.pack("!6H", msg_id, opcode << 11, 0, 0, 0, 0)
+
+
+UNASSIGNED_OPCODES = (3, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+
+
+class TestUnassignedOpcodes:
+    """RFC 1035 §4.1.1 leaves opcodes 3 and 7-15 unassigned: a header
+    carrying one is answered NOTIMP by the authoritative server and
+    dropped by the cache, never a reason for ``run()`` to die."""
+
+    @pytest.mark.parametrize("stream", [False, True],
+                             ids=["datagram", "stream"])
+    def test_every_opcode_to_server_and_cache(self, make_host, simulator,
+                                              stream):
+        zone, auth, middleware, resolver = build_world(make_host, simulator)
+        prober = make_host("10.9.0.1").socket()
+        replies = {"10.1.0.1": [], "10.2.0.1": []}
+
+        def record(payload, src, dst):
+            flags = struct.unpack("!H", payload[2:4])[0]
+            replies[src[0]].append(((flags >> 11) & 0xF, flags & 0xF))
+
+        prober.on_receive(record)
+        prober.on_receive_stream(record)
+        send = prober.send_stream if stream else prober.send
+        for opcode in range(16):
+            for address in replies:
+                send(bare_header(opcode), (address, 53))
+        simulator.run()
+        # The server answers each unassigned opcode NOTIMP (rcode 4),
+        # its raw bits mirrored; the cache answers none of them.
+        assert {opcode for opcode, rcode in replies["10.1.0.1"]
+                if rcode == 4} >= set(UNASSIGNED_OPCODES)
+        assert not {opcode for opcode, _ in replies["10.2.0.1"]} & set(
+            UNASSIGNED_OPCODES)
+        assert auth.stats.malformed == 0
+        # Both still serve afterwards.
+        assert resolve(resolver, simulator)
+        assert resolver.cache.peek("www.example.com", RRType.A) is not None
 
 
 class TestUnreachableCache:

@@ -1,5 +1,7 @@
 """Tests for the DNS-Push-style comparator."""
 
+import struct
+
 import pytest
 
 from repro.dnslib import A, Name, RRType
@@ -96,3 +98,17 @@ class TestKeepalives:
         zone, service, subscriber, applied, simulator = world
         simulator.run_until(1900.0)
         assert service.stats.keepalives_sent == 0
+
+
+class TestHostileStreams:
+    def test_every_opcode_header_is_survived(self, world, make_host):
+        """A bare 12-byte header of each opcode 0-15 on the subscriber's
+        stream: none is applied, none stops the simulator."""
+        zone, service, subscriber, applied, simulator = world
+        prober = make_host("10.9.0.1").socket()
+        for opcode in range(16):
+            prober.send_stream(struct.pack("!6H", 7, opcode << 11, 0, 0, 0, 0),
+                               subscriber.endpoint)
+        simulator.run()
+        assert applied == []
+        assert subscriber.stats.pushes_received == 0

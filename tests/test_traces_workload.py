@@ -1,6 +1,9 @@
 """Tests for workload generation and client-cache thinning."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dnslib import Name
 from repro.traces import (
@@ -110,6 +113,68 @@ class TestClientCacheFilter:
                                                     config, requests):
         queries = list(generate_queries(small_population, config))
         assert 0 < len(queries) <= len(requests)
+
+
+def full(events):
+    """Every field of every event: ``QueryEvent`` equality sees only
+    ``(time, client)``."""
+    return [(e.time, e.client, e.name, e.nameserver) for e in events]
+
+
+DIFFERENTIAL_BASE = generate_population(PopulationConfig(
+    regular_per_tld=1, cdn_count=2, dyn_count=2, seed=3))
+
+differential_domains = st.lists(
+    st.tuples(st.integers(0, len(DIFFERENTIAL_BASE) - 1),
+              st.sampled_from([0.0, 0.2, 1.0, 3.0])),
+    min_size=1, max_size=5,
+).map(lambda picks: [
+    dataclasses.replace(DIFFERENTIAL_BASE[index], popularity=weight)
+    for index, weight in picks]
+    # Always two specs under one name, thinned by one cache entry.
+    + [dataclasses.replace(DIFFERENTIAL_BASE[0], popularity=0.5),
+       dataclasses.replace(DIFFERENTIAL_BASE[0], popularity=1.5)])
+
+differential_configs = st.builds(
+    WorkloadConfig,
+    duration=st.floats(1.0, 1500.0),
+    clients=st.integers(1, 6),
+    nameservers=st.integers(1, 3),
+    total_request_rate=st.floats(0.05, 2.0),
+    client_cache_seconds=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
+    burst_mean=st.sampled_from([1.0, 3.0]),
+    burst_spread=st.floats(0.0, 120.0),
+    seed=st.integers(0, 1 << 16),
+)
+
+
+class TestQueriesAgainstFilter:
+    """``generate_queries`` thins per domain before any event exists;
+    ``ClientCacheFilter`` over the full request stream is its reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(domains=differential_domains, config=differential_configs)
+    def test_equals_filtered_requests(self, domains, config):
+        cache = ClientCacheFilter(config.client_cache_seconds)
+        expected = full(cache.filter(generate_requests(domains, config)))
+        assert full(generate_queries(domains, config)) == expected
+
+    def test_shared_name_thinned_together(self, small_population):
+        config = WorkloadConfig(duration=3600.0, clients=2,
+                                total_request_rate=2.0, seed=5)
+        hot = [dataclasses.replace(small_population[0], popularity=1.0),
+               dataclasses.replace(small_population[0], popularity=1.0)]
+        queries = full(generate_queries(hot, config))
+        reference = full(ClientCacheFilter(900.0).filter(
+            generate_requests(hot, config)))
+        assert queries == reference
+        # Two clients, one name: at most one fetch each per window.
+        assert len(queries) <= 2 * (3600.0 / 900.0 + 1)
+
+    def test_negative_cache_rejected_on_call(self, small_population):
+        config = WorkloadConfig(client_cache_seconds=-1.0)
+        with pytest.raises(ValueError):
+            generate_queries(small_population, config)
 
 
 class TestSplitsAndRates:
